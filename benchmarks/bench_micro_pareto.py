@@ -27,13 +27,14 @@ number is the sorted-store speedup over the flat store at 10⁵ vectors and
 
 The runner section measures benchmark *task* throughput (leaf tasks per
 second of a small step-driven scenario) through the task-graph pipeline —
-sequential and process-pool at ``case`` granularity — verifies the two
-modes agree bit-for-bit, and writes ``BENCH_runner.json``.
+one worker on the calling thread and two worker processes at ``case``
+granularity — verifies the two agree bit-for-bit, and writes
+``BENCH_runner.json``.
 
-The *coordinator* section measures the same scenario through the dynamic
-lease-based backend (``backend="coordinator"``, 1 and 2 workers) plus a
-cold-vs-warm ``TaskCache`` run, verifies every mode agrees with the
-sequential result bit-for-bit, and writes ``BENCH_coordinator.json``.
+The *coordinator* section measures the same scenario through the lease
+coordinator (1 worker, 2 workers) plus a cold-vs-warm ``TaskCache`` run,
+verifies every mode agrees bit-for-bit with executing each leaf in
+schedule order, and writes ``BENCH_coordinator.json``.
 
 The *RMQ* section measures end-to-end RMQ iteration throughput on the
 10-table / 3-metric micro workload (compressed α schedule, the figure
@@ -355,10 +356,10 @@ def _runner_spec():
 def run_runner_benchmark(write_json: bool = True) -> Dict[str, object]:
     """Measure leaf-task throughput through the task-graph pipeline.
 
-    Sequential throughput is the headline (min over repeats); the
-    process-pool number is recorded for reference — at this micro scale it
-    is dominated by worker start-up, the pool only pays off on real grids.
-    Both modes must produce bit-identical scenario results.
+    Single-worker throughput is the headline (min over repeats); the
+    two-process number is recorded for reference — at this micro scale it
+    is dominated by pool round trips, the pool only pays off on real grids.
+    Both must produce bit-identical scenario results.
     """
     from repro.bench.runner import run_scenario
     from repro.bench.tasks import schedule_tasks
@@ -425,55 +426,56 @@ def test_runner_throughput_recorded():
 
 
 # ---------------------------------------------------------------------------
-# Coordinator throughput (dynamic lease-based backend + task cache)
+# Coordinator throughput (lease coordinator at 1/2 workers + task cache)
 # ---------------------------------------------------------------------------
 def run_coordinator_benchmark(write_json: bool = True) -> Dict[str, object]:
-    """Measure task throughput through the coordinator backend.
+    """Measure task throughput through the lease coordinator.
 
-    Runs the runner micro-scenario through ``backend="coordinator"`` with
-    1 and 2 workers, then cold-vs-warm through a ``TaskCache``.  All modes
-    must match the sequential result bit-for-bit; the warm-cache run
-    additionally leases zero tasks (every leaf is a cache hit).
+    Runs the runner micro-scenario with 1 worker (the sequential path) and
+    2 workers, then cold-vs-warm through a ``TaskCache``.  Every mode must
+    match the dispatcher-free reference (each leaf executed in schedule
+    order, then reduced) bit-for-bit; the warm-cache run additionally
+    leases zero tasks (every leaf is a cache hit).
     """
     import tempfile
     import timeit as _timeit
 
-    from repro.bench.runner import run_scenario
-    from repro.bench.tasks import clear_reference_memo, schedule_tasks
+    from repro.bench.runner import reduce_task_results, run_scenario
+    from repro.bench.tasks import (
+        _execute_task_group,
+        clear_reference_memo,
+        schedule_tasks,
+    )
     from repro.dist import TaskCache
 
     spec = _runner_spec()
-    num_tasks = len(schedule_tasks(spec))
+    tasks = schedule_tasks(spec)
+    num_tasks = len(tasks)
     clear_reference_memo()
-    sequential = run_scenario(spec, workers=1)
+    expected = reduce_task_results(spec, _execute_task_group(spec, tasks))
     seconds: Dict[str, float] = {}
     matches: Dict[str, bool] = {}
-    seconds["sequential"] = min(
-        _timeit.repeat(lambda: run_scenario(spec, workers=1), number=1, repeat=3)
-    )
-    for name, kwargs in (
-        ("coordinator_1_worker", dict(backend="coordinator", workers=1)),
-        ("coordinator_2_workers", dict(backend="coordinator", workers=2)),
+    for name, workers, repeats in (
+        ("sequential", 1, 3),
+        ("coordinator_2_workers", 2, 1),
     ):
-        result = run_scenario(spec, **kwargs)
-        matches[name] = result.cells == sequential.cells
-        repeats = 3 if kwargs["workers"] == 1 else 1
+        matches[name] = run_scenario(spec, workers=workers).cells == expected
         seconds[name] = min(
             _timeit.repeat(
-                lambda: run_scenario(spec, **kwargs), number=1, repeat=repeats
+                lambda: run_scenario(spec, workers=workers), number=1, repeat=repeats
             )
         )
     with tempfile.TemporaryDirectory() as tmp:
         cold_cache = TaskCache(os.path.join(tmp, "cache"))
         started = _timeit.default_timer()
-        cold = run_scenario(spec, backend="coordinator", workers=1, cache=cold_cache)
+        cold = run_scenario(spec, workers=1, cache=cold_cache)
         seconds["coordinator_cold_cache"] = _timeit.default_timer() - started
-        matches["coordinator_cold_cache"] = cold.cells == sequential.cells
+        matches["coordinator_cold_cache"] = cold.cells == expected
         warm_cache = TaskCache(os.path.join(tmp, "cache"))
         started = _timeit.default_timer()
-        warm = run_scenario(spec, backend="coordinator", workers=1, cache=warm_cache)
+        warm = run_scenario(spec, workers=1, cache=warm_cache)
         seconds["coordinator_warm_cache"] = _timeit.default_timer() - started
-        matches["coordinator_warm_cache"] = warm.cells == sequential.cells
+        matches["coordinator_warm_cache"] = warm.cells == expected
         warm_hits = warm_cache.stats["hits"]
     report: Dict[str, object] = {
         "num_tasks": num_tasks,
@@ -483,10 +485,9 @@ def run_coordinator_benchmark(write_json: bool = True) -> Dict[str, object]:
         "tasks_per_second": {
             name: num_tasks / elapsed for name, elapsed in seconds.items()
         },
-        # Coordinator throughput over the sequential runner, normalized by
-        # worker count (> 1/workers means the backend pays for itself).
+        # 2-worker throughput over the 1-worker run, normalized by worker
+        # count (> 1/2 means the second worker pays for itself).
         "parallel_efficiency": {
-            "1_worker": seconds["sequential"] / seconds["coordinator_1_worker"],
             "2_workers":
                 seconds["sequential"] / seconds["coordinator_2_workers"] / 2,
         },
@@ -509,7 +510,6 @@ def _format_coordinator_report(report: Dict[str, object]) -> str:
     ]
     for name in (
         "sequential",
-        "coordinator_1_worker",
         "coordinator_2_workers",
         "coordinator_cold_cache",
         "coordinator_warm_cache",
@@ -520,8 +520,7 @@ def _format_coordinator_report(report: Dict[str, object]) -> str:
         )
     efficiency = report["parallel_efficiency"]
     lines.append(
-        f"  parallel efficiency: 1 worker {efficiency['1_worker']:.2f}, "
-        f"2 workers {efficiency['2_workers']:.2f}"
+        f"  parallel efficiency: 2 workers {efficiency['2_workers']:.2f}"
     )
     lines.append(
         f"  warm cache hits: {report['warm_cache_hits']}/{report['num_tasks']}"
@@ -536,7 +535,7 @@ def test_coordinator_throughput_recorded():
     print(_format_coordinator_report(report))
     assert all(report["matches_sequential"].values()), report["matches_sequential"]
     assert report["warm_cache_hits"] == report["num_tasks"]
-    assert report["tasks_per_second"]["coordinator_1_worker"] > 0
+    assert report["tasks_per_second"]["sequential"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,15 @@
-"""Service benchmark: the TCP lease service vs the file protocol.
+"""Service benchmark: the multi-tenant TCP lease service.
 
-Measures what "optimization as a service" buys over the shared-directory
-protocol, on the same step-driven workload:
+Measures what "optimization as a service" does on a step-driven workload
+with one persistent worker pool attached over TCP:
 
-* ``lease_roundtrip`` — end-to-end job round-trip throughput (leases/s)
-  at 4 workers.  The file protocol ties workers to one work directory,
-  so every job pays worker bootstrap (process start + imports) plus
-  directory polling; the service keeps a persistent pool attached over
-  TCP, parked on server-side long-polls, so a new job starts executing
-  within milliseconds.  Target: TCP >= ``SPEEDUP_TARGET`` x file.
-* ``raw_transport`` — the same claim->complete cycle driven directly
-  (precomputed results, hot loops, no bootstrap) for honest context:
-  on a local page cache the raw wires are near parity; the win above is
-  persistent attachment, not cheaper syscalls.
 * ``saturation`` — jobs/s of a warm multi-tenant service as concurrent
   clients grow (1..MAX_CLIENTS); records where throughput saturates.
 * ``dedup`` — cross-client dedup ratio: N tenants submitting the same
   figure concurrently lease zero duplicate deterministic leaves.
 * ``bit_identical`` — a service run with an injected mid-lease
   disconnect *and* a worker death still reduces to cells bit-identical
-  to sequential ``run_scenario``.
+  to executing every leaf in schedule order.
 
 Results are written to ``BENCH_service.json`` in the repository root.
 Run as a script (``python benchmarks/bench_service.py``) or via pytest.
@@ -27,20 +17,15 @@ Run as a script (``python benchmarks/bench_service.py``) or via pytest.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-import subprocess
-import sys
-import tempfile
 import threading
 import time
 from typing import Dict, List
 
-from repro.bench.runner import reduce_task_results, run_scenario
+from repro.bench.runner import reduce_task_results
 from repro.bench.scenario import ScenarioScale, ScenarioSpec
 from repro.bench.tasks import _execute_task_group, schedule_tasks
-from repro.dist.protocol import FileLeaseTransport, collect_results, init_workdir
 from repro.dist.service import (
     RemoteLeaseTransport,
     ServiceClient,
@@ -56,17 +41,10 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SERVICE_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_service.json")
 
 WORKERS = 4
-ROUNDS = 3
 MAX_CLIENTS = 12
 CLIENT_SWEEP = (1, 2, 4, 8, MAX_CLIENTS)
 JOBS_PER_CLIENT = 8
 SEED = 11
-
-#: Design target for the service's job round-trip advantage at 4 workers.
-SPEEDUP_TARGET = 5.0
-#: Hard CI bar — generous because worker bootstrap times vary across
-#: machines; the recorded number is what matters for trend-watching.
-SPEEDUP_HARD_FLOOR = 2.0
 
 
 def _spec(seed: int = SEED) -> ScenarioSpec:
@@ -84,154 +62,6 @@ def _spec(seed: int = SEED) -> ScenarioSpec:
         seed=seed,
         scale=ScenarioScale.SMOKE,
     )
-
-
-# ---------------------------------------------------------------------------
-# Job round-trip: per-job worker bootstrap (file) vs attached pool (TCP)
-# ---------------------------------------------------------------------------
-def _bench_file_pipeline() -> Dict[str, float]:
-    """File-protocol job round-trip with real CLI worker processes.
-
-    Each job is a fresh work directory, so workers cannot outlive it —
-    this is the protocol's structural per-job cost, not a handicap.
-    """
-    env = dict(os.environ, PYTHONPATH=os.path.join(_REPO_ROOT, "src"))
-    total_seconds = 0.0
-    total_leases = 0
-    for round_index in range(ROUNDS):
-        spec = _spec(seed=700 + round_index)
-        workdir = tempfile.mkdtemp(prefix="bench-service-file-")
-        start = time.perf_counter()
-        init_workdir(workdir, spec, workers_hint=WORKERS, granularity="case")
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-m", "repro.bench.cli", "work", "--dir", workdir],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-            for _ in range(WORKERS)
-        ]
-        collect_results(workdir, timeout=300.0)
-        total_seconds += time.perf_counter() - start
-        for proc in procs:
-            proc.wait(timeout=60.0)
-        total_leases += len(schedule_tasks(spec))
-    return {
-        "leases_per_second": total_leases / total_seconds,
-        "ms_per_job": total_seconds / ROUNDS * 1000.0,
-    }
-
-
-def _bench_tcp_pipeline() -> Dict[str, float]:
-    """Service job round-trip against an already-attached worker pool."""
-    handle = start_service(port=0, metrics=Metrics())
-    stop = threading.Event()
-    pool = threading.Thread(
-        target=run_service_worker,
-        args=(handle.address,),
-        kwargs=dict(workers=WORKERS, stop=stop, poll=0.02, poll_cap=0.2),
-        daemon=True,
-    )
-    pool.start()
-    try:
-        # One throwaway job warms the pool's connections and code paths.
-        submit_scenario(handle.address, _spec(seed=999), timeout=120.0)
-        total_seconds = 0.0
-        total_leases = 0
-        for round_index in range(ROUNDS):
-            spec = _spec(seed=800 + round_index)
-            start = time.perf_counter()
-            submit_scenario(
-                handle.address, spec, granularity="case", timeout=120.0
-            )
-            total_seconds += time.perf_counter() - start
-            total_leases += len(schedule_tasks(spec))
-    finally:
-        stop.set()
-        pool.join(timeout=30.0)
-        handle.stop()
-    return {
-        "leases_per_second": total_leases / total_seconds,
-        "ms_per_job": total_seconds / ROUNDS * 1000.0,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Raw transport cycle (context): direct drive, precomputed results
-# ---------------------------------------------------------------------------
-def _bench_raw_transport() -> Dict[str, float]:
-    spec = _spec(seed=500)
-    tasks = schedule_tasks(spec)
-    by_task = {task: _execute_task_group(spec, [task])[0] for task in tasks}
-
-    workdir = tempfile.mkdtemp(prefix="bench-service-raw-")
-    init_workdir(workdir, spec, granularity="case")
-
-    def drive_file(worker_id: str) -> None:
-        transport = FileLeaseTransport(
-            workdir, worker_id=worker_id, metrics=Metrics()
-        )
-        while True:
-            lease = transport.request_lease(worker_id)
-            if lease is None:
-                if transport.done:
-                    return
-                time.sleep(0.001)
-                continue
-            transport.complete_lease(
-                lease.lease_id, [by_task[task] for task in lease.tasks]
-            )
-
-    start = time.perf_counter()
-    threads = [
-        threading.Thread(target=drive_file, args=(f"w{i}",))
-        for i in range(WORKERS)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    file_cycle = len(tasks) / (time.perf_counter() - start)
-
-    handle = start_service(port=0, metrics=Metrics())
-    try:
-        with ServiceClient(handle.address) as client:
-            info = client.submit(spec, granularity="case", timeout=60.0)
-
-            def drive_tcp(worker_id: str) -> None:
-                transport = RemoteLeaseTransport(
-                    handle.address, worker_id=worker_id
-                )
-                while True:
-                    lease = transport.request_lease(worker_id)
-                    if lease is None:
-                        if transport.done:
-                            transport.close()
-                            return
-                        transport.wait_for_work(0.05)
-                        continue
-                    transport.complete_lease(
-                        lease.lease_id, [by_task[task] for task in lease.tasks]
-                    )
-
-            start = time.perf_counter()
-            threads = [
-                threading.Thread(target=drive_tcp, args=(f"t{i}",))
-                for i in range(WORKERS)
-            ]
-            for thread in threads:
-                thread.start()
-            client.wait(info["job"], timeout=60.0)
-            tcp_cycle = len(tasks) / (time.perf_counter() - start)
-            for thread in threads:
-                thread.join(timeout=10.0)
-    finally:
-        handle.stop()
-    return {
-        "file_cycles_per_second": file_cycle,
-        "tcp_cycles_per_second": tcp_cycle,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +172,9 @@ def _bench_dedup() -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 def _bench_bit_identity() -> bool:
     spec = _spec()
-    sequential = run_scenario(spec, workers=1)
+    sequential = reduce_task_results(
+        spec, _execute_task_group(spec, schedule_tasks(spec))
+    )
     handle = start_service(port=0, metrics=Metrics(), lease_timeout=30.0)
     died = threading.Event()
 
@@ -378,27 +210,13 @@ def _bench_bit_identity() -> bool:
                 pool.join(timeout=30.0)
     finally:
         handle.stop()
-    return reduce_task_results(spec, results) == sequential.cells
+    return reduce_task_results(spec, results) == sequential
 
 
 def run_benchmark(write_json: bool = True) -> Dict[str, object]:
     """Run every section; return (and persist) the combined results."""
-    file_pipeline = _bench_file_pipeline()
-    tcp_pipeline = _bench_tcp_pipeline()
-    speedup = (
-        tcp_pipeline["leases_per_second"] / file_pipeline["leases_per_second"]
-    )
     results: Dict[str, object] = {
         "workers": WORKERS,
-        "rounds": ROUNDS,
-        "lease_roundtrip": {
-            "file": file_pipeline,
-            "tcp": tcp_pipeline,
-            "speedup": speedup,
-            "speedup_target": SPEEDUP_TARGET,
-            "speedup_hard_floor": SPEEDUP_HARD_FLOOR,
-        },
-        "raw_transport": _bench_raw_transport(),
         "saturation": _bench_saturation(),
         "dedup": _bench_dedup(),
         "bit_identical": _bench_bit_identity(),
@@ -413,8 +231,6 @@ def run_benchmark(write_json: bool = True) -> Dict[str, object]:
 def test_service_benchmark() -> None:
     """Pytest entry point: enforce the acceptance bars."""
     results = run_benchmark()
-    roundtrip = results["lease_roundtrip"]
-    assert roundtrip["speedup"] >= SPEEDUP_HARD_FLOOR, results
     assert results["dedup"]["duplicate_leases"] == 0, results
     assert results["dedup"]["dedup_ratio"] >= 0.5, results
     assert results["bit_identical"] is True, results
@@ -424,24 +240,6 @@ def test_service_benchmark() -> None:
 
 def main() -> None:
     results = run_benchmark()
-    roundtrip = results["lease_roundtrip"]
-    print(
-        f"file job round-trip {roundtrip['file']['ms_per_job']:8.0f} ms/job "
-        f"({roundtrip['file']['leases_per_second']:.1f} leases/s)"
-    )
-    print(
-        f"tcp  job round-trip {roundtrip['tcp']['ms_per_job']:8.0f} ms/job "
-        f"({roundtrip['tcp']['leases_per_second']:.1f} leases/s)"
-    )
-    print(
-        f"speedup             {roundtrip['speedup']:8.2f}x "
-        f"(target {SPEEDUP_TARGET:.0f}x)"
-    )
-    raw = results["raw_transport"]
-    print(
-        f"raw cycle           file {raw['file_cycles_per_second']:.0f}/s, "
-        f"tcp {raw['tcp_cycles_per_second']:.0f}/s"
-    )
     for entry in results["saturation"]["sweep"]:
         print(
             f"saturation          {entry['clients']:3d} client(s): "

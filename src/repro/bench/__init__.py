@@ -40,7 +40,6 @@ from repro.bench.tasks import (
     TaskResult,
     TaskSpec,
     execute_task,
-    execute_tasks,
     load_shards,
     run_shard,
     schedule_tasks,
@@ -75,7 +74,6 @@ __all__ = [
     "schedule_tasks",
     "shard_tasks",
     "execute_task",
-    "execute_tasks",
     "run_shard",
     "write_shard",
     "load_shards",

@@ -15,11 +15,9 @@ Usage::
     python -m repro.bench.cli figure1 --scale smoke --steps --shard 1/2 --out s1.json
     python -m repro.bench.cli merge s0.json s1.json
 
-    # Dynamic scheduling: a coordinator work directory served by local
-    # and/or remote workers, with a shared task-result cache:
-    python -m repro.bench.cli coordinate figure1 --scale smoke --steps \\
-        --dir workdir --workers 2 --cache-dir ~/.repro-cache
-    python -m repro.bench.cli work --dir workdir   # on any other machine
+    # Reuse deterministic leaf results across runs and figure variants:
+    python -m repro.bench.cli figure1 --scale smoke --steps \\
+        --workers 2 --cache-dir ~/.repro-cache
 
     # Optimization as a service: one long-lived TCP server, persistent
     # worker pools attaching at runtime, many concurrent clients sharing
@@ -48,9 +46,10 @@ metrics snapshot on exit), so existing invocations gain tracing without
 flag changes.
 
 Prints the same text report as the pytest benchmark targets; useful when
-iterating on one figure without the pytest-benchmark machinery.  With
-``--steps``, a two-shard ``merge`` — and a ``coordinate`` run with any
-number of workers — is bit-identical to the sequential run.
+iterating on one figure without the pytest-benchmark machinery.  Every
+figure run, shard, and service job executes through the same lease
+coordinator; with ``--steps`` the report is bit-identical for any worker
+count, granularity, cache state, two-shard ``merge``, or ``submit``.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ import argparse
 import dataclasses
 import sys
 import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence, Tuple
 
 from repro.bench import figures
@@ -103,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "run the benchmark tasks on N worker processes (default: sequential; "
+            "run the benchmark tasks on N worker processes (default: 1, on the "
+            "calling thread; "
             "ignored by figure3, which is a single statistics run). "
             "Note: with wall-clock budgets, concurrent tasks share CPU, so "
             "medians can shift versus a sequential run; use --steps for "
@@ -118,16 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
             "unit of work dispatched to workers: whole grid cells, individual "
             "(cell, case, algorithm) leaf tasks, or 'auto' (the default) "
             "which picks per scenario from the task-count/worker ratio"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["local", "coordinator"],
-        default=None,
-        help=(
-            "execution backend: 'local' (static schedule, the default) or "
-            "'coordinator' (dynamic lease-based scheduling with "
-            "fault-tolerant workers); results are identical on --steps runs"
         ),
     )
     parser.add_argument(
@@ -192,90 +180,20 @@ def build_merge_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_coordinate_parser() -> argparse.ArgumentParser:
-    """The argument parser of the ``coordinate`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.cli coordinate",
-        description=(
-            "Set up a coordinator work directory for one figure, serve it "
-            "with local workers, wait for full coverage (local and/or "
-            "remote 'work' processes), and print the scenario report."
-        ),
-    )
-    parser.add_argument(
-        "figure",
-        choices=sorted(figures.FIGURE_SPECS),
-        help="figure identifier (figure1..figure9, ablation_rmq, ablation_alpha, zoo)",
-    )
-    parser.add_argument("--dir", required=True, help="shared work directory")
-    parser.add_argument(
-        "--scale",
-        choices=[scale.value for scale in ScenarioScale],
-        default=ScenarioScale.DEFAULT.value,
-        help="experiment scale",
-    )
-    parser.add_argument(
-        "--steps", action="store_true", help="run the step-driven figure variant"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the scenario base seed"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "local worker threads to serve the directory (0 = none, wait "
-            "for external 'work' processes only)"
-        ),
-    )
-    parser.add_argument(
-        "--granularity",
-        choices=["cell", "case", "auto"],
-        default=None,
-        help="lease size: whole cells, single leaves, or 'auto' (default)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=str, default=None, help="task-result cache directory"
-    )
-    parser.add_argument(
-        "--cache-max-mb",
-        type=float,
-        default=None,
-        help="size cap for --cache-dir in megabytes (LRU; default unbounded)",
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=300.0,
-        help="seconds before an uncompleted lease is reassigned",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="give up after this many seconds without full coverage",
-    )
-    return parser
-
-
 def build_work_parser() -> argparse.ArgumentParser:
     """The argument parser of the ``work`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro.bench.cli work",
         description=(
-            "Pull and execute leases — from a shared work directory "
-            "(--dir, file transport) or a lease service (--attach "
-            "host:port, TCP transport).  Runs on any machine that can "
-            "reach the directory or the server."
+            "Attach to a running lease service and pull and execute its "
+            "leases.  Runs on any machine that can reach the server."
         ),
     )
-    parser.add_argument("--dir", default=None, help="shared work directory")
     parser.add_argument(
         "--attach",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
-        help="attach to a running lease service instead of a directory",
+        help="address of the lease service to attach to",
     )
     parser.add_argument(
         "--worker-id", type=str, default=None, help="worker identifier (default: auto)"
@@ -296,19 +214,19 @@ def build_work_parser() -> argparse.ArgumentParser:
         "--max-batches",
         type=int,
         default=None,
-        help="stop after executing this many batches/leases (per worker)",
+        help="stop after executing this many leases (per worker)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="worker threads (TCP only; each holds its own connection)",
+        help="worker threads (each holds its own connection)",
     )
     parser.add_argument(
         "--drain",
         action="store_true",
-        help="exit when the server reports zero live jobs (TCP only; "
-        "default: keep serving until killed)",
+        help="exit when the server reports zero live jobs "
+        "(default: keep serving until killed)",
     )
     parser.add_argument(
         "--renew-interval",
@@ -430,12 +348,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
         help="dispatch granularity override",
     )
     parser.add_argument(
-        "--backend",
-        choices=["local", "coordinator"],
-        default=None,
-        help="execution backend override",
-    )
-    parser.add_argument(
         "--cache-dir", type=str, default=None, help="task-result cache directory"
     )
     parser.add_argument(
@@ -472,8 +384,6 @@ def _run_trace(argv: Sequence[str]) -> str:
         spec = dataclasses.replace(spec, workers=args.workers)
     if args.granularity is not None:
         spec = dataclasses.replace(spec, granularity=args.granularity)
-    if args.backend is not None:
-        spec = dataclasses.replace(spec, backend=args.backend)
     cache = None
     if args.cache_dir is not None:
         from repro.dist.cache import TaskCache
@@ -595,121 +505,26 @@ def _resolve_figure_spec(args: argparse.Namespace) -> ScenarioSpec:
     return spec
 
 
-def _run_coordinate(argv: Sequence[str]) -> str:
-    from repro.dist.cache import TaskCache
-    from repro.dist.protocol import collect_results, init_workdir, run_worker
-
-    args = build_coordinate_parser().parse_args(argv)
-    if args.workers < 0:
-        raise SystemExit("--workers must be at least 0")
-    spec = _resolve_figure_spec(args)
-    cache_cap = _cache_cap_bytes(args)  # validates --cache-max-mb usage
-    cache = (
-        TaskCache(args.cache_dir, max_bytes=cache_cap) if args.cache_dir else None
-    )
-    meta = init_workdir(
-        args.dir,
-        spec,
-        workers_hint=max(1, args.workers),
-        granularity=args.granularity,
-        lease_timeout=args.lease_timeout,
-        cache=cache,
-    )
-    # Local workers are lease-pulling threads executing on a shared process
-    # pool (threads alone would serialize the pure-Python leaves on the
-    # GIL).  The stop event ends them at the next batch boundary when the
-    # collector gives up, so a timeout reaches the user promptly.
-    stop = threading.Event()
-    pool = (
-        ProcessPoolExecutor(max_workers=args.workers) if args.workers > 1 else None
-    )
-    worker_errors: list = []
-
-    def worker_main(index: int) -> None:
-        try:
-            run_worker(
-                args.dir, worker_id=f"local-{index}", stop=stop, executor=pool
-            )
-        except BaseException as exc:  # surfaced by the collection loop below
-            worker_errors.append(exc)
-
-    threads = [
-        threading.Thread(target=worker_main, args=(index,), daemon=True)
-        for index in range(args.workers)
-    ]
-    for thread in threads:
-        thread.start()
-    # Collect in short slices so dead local workers are noticed instead of
-    # polling an unservable directory forever (--timeout defaults to None).
-    deadline = None if args.timeout is None else time.monotonic() + args.timeout
-    try:
-        while True:
-            slice_timeout = 5.0
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"{args.dir}: timed out waiting for full coverage"
-                    )
-                slice_timeout = min(slice_timeout, remaining)
-            try:
-                _, results = collect_results(
-                    args.dir, timeout=slice_timeout, cache=cache
-                )
-                break
-            except TimeoutError:
-                if threads and worker_errors and not any(
-                    thread.is_alive() for thread in threads
-                ):
-                    raise worker_errors[0]
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        if pool is not None:
-            pool.shutdown()
-    result = ScenarioResult(spec=spec, cells=reduce_task_results(spec, results))
-    header = (
-        f"[coordinator: {meta['batches']} batch(es) at {meta['granularity']} "
-        f"granularity, {meta['cached_tasks']} task(s) served from cache]\n"
-    )
-    return header + format_scenario_report(result) + "\n" + summarize_winners(result)
-
-
 def _run_work(argv: Sequence[str]) -> str:
+    from repro.dist.service import run_service_worker
+
     args = build_work_parser().parse_args(argv)
-    if (args.dir is None) == (args.attach is None):
-        raise SystemExit("work needs exactly one of --dir or --attach")
-    if args.attach is not None:
-        from repro.dist.service import run_service_worker
-
-        counters = run_service_worker(
-            _parse_address(args.attach),
-            workers=max(1, args.workers),
-            max_leases=args.max_batches,
-            poll=args.poll,
-            poll_cap=args.poll_cap,
-            drain=args.drain,
-            use_processes=args.workers > 1,
-            renew_interval=args.renew_interval,
-            worker_id=args.worker_id,
-        )
-        return (
-            f"[worker done: executed {counters['leases']} lease(s) from "
-            f"{args.attach}, {counters['reconnects']} reconnect(s), "
-            f"{counters['renewals']} renewal(s)]"
-        )
-    from repro.dist.protocol import run_worker
-
-    executed = run_worker(
-        args.dir,
-        worker_id=args.worker_id,
+    counters = run_service_worker(
+        _parse_address(args.attach),
+        workers=max(1, args.workers),
+        max_leases=args.max_batches,
         poll=args.poll,
         poll_cap=args.poll_cap,
-        max_batches=args.max_batches,
+        drain=args.drain,
+        use_processes=args.workers > 1,
         renew_interval=args.renew_interval,
+        worker_id=args.worker_id,
     )
-    return f"[worker done: executed {executed} batch(es) from {args.dir}]"
+    return (
+        f"[worker done: executed {counters['leases']} lease(s) from "
+        f"{args.attach}, {counters['reconnects']} reconnect(s), "
+        f"{counters['renewals']} renewal(s)]"
+    )
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -933,8 +748,6 @@ def _run_dispatch(argv: list) -> str:
         merge_args = build_merge_parser().parse_args(argv[1:])
         result = merge_shards(merge_args.shards)
         return format_scenario_report(result) + "\n" + summarize_winners(result)
-    if argv and argv[0] == "coordinate":
-        return _run_coordinate(argv[1:])
     if argv and argv[0] == "work":
         return _run_work(argv[1:])
     if argv and argv[0] == "serve":
@@ -976,8 +789,6 @@ def _run_dispatch(argv: list) -> str:
         spec = dataclasses.replace(spec, workers=args.workers)
     if args.granularity is not None:
         spec = dataclasses.replace(spec, granularity=args.granularity)
-    if args.backend is not None:
-        spec = dataclasses.replace(spec, backend=args.backend)
     cache = None
     cache_cap = _cache_cap_bytes(args)  # validates --cache-max-mb usage
     if args.cache_dir is not None:
@@ -986,14 +797,8 @@ def _run_dispatch(argv: list) -> str:
         cache = TaskCache(args.cache_dir, max_bytes=cache_cap)
 
     if args.shard is not None:
-        # Shard runs execute a static subset on the local path; the dynamic
-        # backend and the task cache are not wired through them, so refuse
-        # the combinations instead of silently ignoring the flags.
-        if args.backend == "coordinator":
-            raise SystemExit(
-                "--shard executes statically; use 'coordinate' for dynamic "
-                "scheduling instead of --backend coordinator"
-            )
+        # The task cache is not wired through shard runs; refuse the
+        # combination instead of silently ignoring the flag.
         if args.cache_dir is not None:
             raise SystemExit("--cache-dir is not supported with --shard")
         index, count = _parse_shard(args.shard)

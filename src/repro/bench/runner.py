@@ -12,11 +12,11 @@ Execution is organized as an explicit task graph (:mod:`repro.bench.tasks`):
 
 * :func:`repro.bench.tasks.schedule_tasks` expands the spec into
   ``(cell, case, algorithm)`` leaf tasks (plus per-case reference tasks);
-* :func:`repro.bench.tasks.execute_tasks` runs them — sequentially, on a
-  ``ProcessPoolExecutor`` at ``cell``/``case``/``auto`` granularity, as a
-  ``--shard k/n`` subset serialized to JSON, or dynamically through the
-  lease-based coordinator of :mod:`repro.dist`
-  (``run_scenario(backend="coordinator")``);
+* :func:`repro.dist.worker.run_coordinated` executes them — the one
+  in-process dispatcher: a lease coordinator drained on the calling thread
+  (one worker) or by worker threads on a shared process pool (several);
+  ``--shard k/n`` runs push a subset of the schedule through the same
+  dispatcher and serialize it to JSON;
 * :func:`reduce_task_results` folds the leaf results into per-cell medians.
 
 Leaf tasks are pure (all randomness is derived from the scenario seed and
@@ -41,11 +41,8 @@ from repro.bench.tasks import (
     TaskResult,
     build_optimizer,
     build_test_case,
-    execute_tasks,
     load_shards,
     reference_alpha,
-    schedule_tasks,
-    task_is_deterministic,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -128,7 +125,6 @@ def run_scenario(
     spec: ScenarioSpec,
     workers: int | None = None,
     granularity: str | None = None,
-    backend: str | None = None,
     cache: "TaskCache | None" = None,
 ) -> ScenarioResult:
     """Run a full scenario and return aggregated per-cell medians.
@@ -138,83 +134,36 @@ def run_scenario(
     spec:
         The scenario to execute.
     workers:
-        Overrides ``spec.workers`` when given.  ``1`` runs the schedule
-        strictly sequentially in-process (the original path); ``N > 1``
-        executes the independent leaf tasks on a process pool.
+        Overrides ``spec.workers`` when given.  ``1`` drains the schedule
+        on the calling thread; ``N > 1`` executes leases on ``N`` worker
+        processes of the shared pool.
     granularity:
-        Overrides ``spec.granularity`` when given: ``"cell"`` dispatches
-        whole grid cells to workers, ``"case"`` dispatches every
-        (cell, case, algorithm) leaf individually, ``"auto"`` (the
-        default) picks per scenario from the task-count/worker ratio.
-    backend:
-        Overrides ``spec.backend`` when given.  ``"local"`` schedules
-        statically (pool or sequential); ``"coordinator"`` executes the
-        same schedule through the dynamic lease-based coordinator of
-        :mod:`repro.dist` (fault-tolerant, cache-aware).
+        Overrides ``spec.granularity`` when given: ``"cell"`` leases whole
+        grid cells, ``"case"`` leases every (cell, case, algorithm) leaf
+        individually, ``"auto"`` (the default) picks per scenario from the
+        task-count/worker ratio.
     cache:
         Optional :class:`repro.dist.cache.TaskCache`.  Deterministic leaf
-        results are served from / written back to it under either backend;
-        non-deterministic leaves always execute.
+        results are served from / written back to it; non-deterministic
+        leaves always execute.
 
-    Cell order in the result is the grid order in every mode, and with
-    step-based checkpoints the results are bit-identical for every worker
-    count, granularity, backend, and cache state.
+    Every run goes through the lease coordinator
+    (:func:`repro.dist.worker.run_coordinated`).  Cell order in the result
+    is the grid order, and with step-based checkpoints the results are
+    bit-identical for every worker count, granularity, and cache state.
     """
-    effective_workers = spec.workers if workers is None else workers
-    effective_granularity = spec.granularity if granularity is None else granularity
-    effective_backend = spec.backend if backend is None else backend
-    if effective_workers < 1:
-        raise ValueError("workers must be at least 1")
-    if effective_backend not in ("local", "coordinator"):
-        raise ValueError(
-            f"backend must be 'local' or 'coordinator', got {effective_backend!r}"
-        )
-    # Phase spans cost one NULL_SPAN call each when tracing is off; with
-    # REPRO_TRACE=1 they give the trace its top-level schedule → execute →
-    # reduce breakdown.
-    tracer = get_tracer()
-    if effective_backend == "coordinator":
-        from repro.dist.worker import run_coordinated
+    from repro.dist.worker import run_coordinated
 
-        with tracer.span(
-            "scenario.execute", backend="coordinator", workers=effective_workers
-        ):
-            coordinator = run_coordinated(
-                spec,
-                workers=effective_workers,
-                granularity=effective_granularity,
-                cache=cache,
-            )
-            results = coordinator.results()
-        with tracer.span("scenario.reduce", tasks=len(results)):
-            cells = reduce_task_results(spec, results)
-        global_metrics().add("scenario.runs")
-        return ScenarioResult(spec=spec, cells=cells)
-    with tracer.span("scenario.schedule"):
-        tasks = schedule_tasks(spec)
-    with tracer.span(
-        "scenario.execute", backend="local", workers=effective_workers
-    ):
-        if cache is None:
-            results = execute_tasks(
-                spec,
-                tasks,
-                workers=effective_workers,
-                granularity=effective_granularity,
-            )
-        else:
-            cached, pending = cache.partition(spec, tasks)
-            executed = execute_tasks(
-                spec,
-                pending,
-                workers=effective_workers,
-                granularity=effective_granularity,
-            )
-            for result in executed:
-                if task_is_deterministic(spec, result.task):
-                    cache.put(spec, result)
-                cached[result.task] = result
-            results = [cached[task] for task in tasks]
+    effective_workers = spec.workers if workers is None else workers
+    # Phase spans cost one NULL_SPAN call each when tracing is off; with
+    # REPRO_TRACE=1 they give the trace its top-level execute → reduce
+    # breakdown.
+    tracer = get_tracer()
+    with tracer.span("scenario.execute", workers=effective_workers):
+        coordinator = run_coordinated(
+            spec, workers=effective_workers, granularity=granularity, cache=cache
+        )
+        results = coordinator.results()
     with tracer.span("scenario.reduce", tasks=len(results)):
         cells = reduce_task_results(spec, results)
     global_metrics().add("scenario.runs")

@@ -83,9 +83,9 @@ class ScenarioSpec:
     seed:
         Base seed; all randomness of the scenario derives from it.
     workers:
-        Number of worker processes used to execute the benchmark tasks.
-        ``1`` (the default) keeps the original strictly sequential path; with
-        ``N > 1`` independent tasks run on a process pool.  Per-task
+        Number of workers executing the benchmark tasks.  ``1`` (the
+        default) runs every task on the calling thread; with ``N > 1``
+        independent tasks run on ``N`` worker processes.  Per-task
         randomness is derived from ``seed`` and the task coordinates alone,
         never from execution order — but wall-clock budgets remain
         load-sensitive (concurrent tasks get less CPU per second, so anytime
@@ -98,22 +98,14 @@ class ScenarioSpec:
         fully deterministic — ``run_scenario`` then returns bit-identical
         results for every worker count, granularity, and sharding.
     granularity:
-        Unit of work dispatched to worker processes: ``"cell"`` submits all
-        tasks of one (shape, size) grid cell together (cheap IPC, the
-        pre-task-graph behavior), ``"case"`` submits every
-        (cell, case, algorithm) leaf task individually (parallelism within a
-        cell, for scenarios with few cells).  The default ``"auto"`` picks
-        between the two from the task-count/worker ratio
+        Unit of work leased to workers: ``"cell"`` leases all tasks of
+        one (shape, size) grid cell together (cheap IPC, the pre-task-graph
+        behavior), ``"case"`` leases every (cell, case, algorithm) leaf task
+        individually (parallelism within a cell, for scenarios with few
+        cells).  The default ``"auto"`` picks between the two from the
+        task-count/worker ratio
         (:func:`repro.bench.tasks.resolve_granularity`) — a pure function of
         the schedule and worker count, so results stay deterministic.
-        Ignored when ``workers == 1``.
-    backend:
-        Execution backend of :func:`repro.bench.runner.run_scenario`:
-        ``"local"`` (the default) schedules statically onto an in-process
-        pool; ``"coordinator"`` executes the schedule through the dynamic
-        lease-based coordinator of :mod:`repro.dist` (fault-tolerant
-        workers, task-result caching).  Both produce bit-identical results
-        on step-driven specs.
     """
 
     name: str
@@ -139,7 +131,6 @@ class ScenarioSpec:
     workers: int = 1
     step_checkpoints: Tuple[int, ...] | None = None
     granularity: str = "auto"
-    backend: str = "local"
 
     def __post_init__(self) -> None:
         if not self.graph_shapes:
@@ -179,10 +170,6 @@ class ScenarioSpec:
             raise ValueError(
                 f"granularity must be 'cell', 'case', or 'auto', "
                 f"got {self.granularity!r}"
-            )
-        if self.backend not in ("local", "coordinator"):
-            raise ValueError(
-                f"backend must be 'local' or 'coordinator', got {self.backend!r}"
             )
         if self.catalog_json is not None:
             try:
@@ -256,12 +243,15 @@ class ScenarioSpec:
                 None if self.step_checkpoints is None else list(self.step_checkpoints)
             ),
             "granularity": self.granularity,
-            "backend": self.backend,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output."""
+        """Rebuild a spec from :meth:`to_json_dict` output.
+
+        Keys this version does not know are ignored, so payloads written by
+        older versions (e.g. with the retired ``backend`` field) still load.
+        """
         return cls(
             name=data["name"],
             description=data["description"],
@@ -290,5 +280,4 @@ class ScenarioSpec:
                 else tuple(data["step_checkpoints"])
             ),
             granularity=data.get("granularity", "cell"),
-            backend=data.get("backend", "local"),
         )

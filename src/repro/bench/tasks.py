@@ -16,7 +16,7 @@ serializable task graph:
   provenance (steps taken, wall-clock elapsed).
 * **Reducing** (``repro.bench.runner.reduce_task_results``) folds the leaf
   results into per-cell medians.  The reduce step is a pure function of the
-  result set, so *any* execution order — sequential, process pool at
+  result set, so *any* execution order — one worker or many, leases at
   ``cell`` or ``case`` granularity, or shards executed on different
   machines and merged later — produces bit-identical scenario results
   whenever ``step_checkpoints`` drives the run.
@@ -61,7 +61,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -81,8 +80,9 @@ from repro.query.query import Query
 from repro.utils.rng import derive_rng
 from repro.utils.timer import Stopwatch
 
-#: Version tag of the shard file format (v2 added the spec provenance hash).
-SHARD_FORMAT = "repro-shard-v2"
+#: Version tag of the shard file format (v2 added the spec provenance hash;
+#: v3 dropped the ``backend`` field from the embedded spec).
+SHARD_FORMAT = "repro-shard-v3"
 
 #: Version tag of the provenance-hash key derivation.  Bump whenever task
 #: execution semantics change in a result-affecting way — every cached or
@@ -94,7 +94,7 @@ PROVENANCE_KEY_FORMAT = "repro-task-key-v1"
 ROLE_ALGORITHM = "algorithm"
 ROLE_REFERENCE = "reference"
 
-#: Granularity names accepted by :func:`execute_tasks` and the scenario spec.
+#: Granularity names accepted by the coordinator and the scenario spec.
 GRANULARITIES = ("cell", "case", "auto")
 
 #: ``auto`` granularity dispatches whole cells when there are at least this
@@ -224,9 +224,9 @@ def _canonical_json(payload: dict) -> bytes:
 def spec_provenance_hash(spec: ScenarioSpec) -> str:
     """Content hash of a full scenario spec (hex SHA-256).
 
-    Shard files and coordinator work directories record this hash so that
-    results can never be silently merged across different scenarios — even
-    when a file's embedded spec was hand-edited after the run.
+    Shard files record this hash so that results can never be silently
+    merged across different scenarios — even when a file's embedded spec
+    was hand-edited after the run.
     """
     payload = {"format": PROVENANCE_KEY_FORMAT, "spec": spec.to_json_dict()}
     return hashlib.sha256(_canonical_json(payload)).hexdigest()
@@ -349,9 +349,9 @@ def resolve_granularity(
 ) -> str:
     """Resolve ``"auto"`` granularity to ``"cell"`` or ``"case"``.
 
-    A pure function of (task list, worker count), so every execution mode —
-    pool, shard, coordinator — resolves identically and determinism is
-    preserved.  ``auto`` dispatches whole cells while there are at least
+    A pure function of (task list, worker count), so every dispatch — a
+    full run, a shard, a service job — resolves identically and determinism
+    is preserved.  ``auto`` dispatches whole cells while there are at least
     :data:`AUTO_CELL_GROUPS_PER_WORKER` cell groups per worker (cheap IPC,
     and enough groups that one expensive cell cannot stall the run); with
     fewer groups it switches to per-leaf dispatch so within-cell parallelism
@@ -559,38 +559,6 @@ def _group_by_cell(tasks: Sequence[TaskSpec]) -> List[List[TaskSpec]]:
     return list(groups.values())
 
 
-def execute_tasks(
-    spec: ScenarioSpec,
-    tasks: Sequence[TaskSpec],
-    workers: int = 1,
-    granularity: str = "cell",
-) -> List[TaskResult]:
-    """Execute a task list and return results in task order.
-
-    ``workers == 1`` runs strictly sequentially in-process.  ``workers > 1``
-    dispatches to a ``ProcessPoolExecutor``: whole cells at ``"cell"``
-    granularity (cheap IPC), individual leaf tasks at ``"case"`` granularity
-    (within-cell parallelism for scenarios with few cells); ``"auto"``
-    picks between the two from the task-count/worker ratio
-    (:func:`resolve_granularity`).  Because leaves are pure, every mode
-    returns the same results — bit-identical whenever ``step_checkpoints``
-    removes wall-clock sensitivity.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    granularity = resolve_granularity(granularity, tasks, workers)
-    if workers == 1 or len(tasks) <= 1:
-        return _execute_task_group(spec, tasks)
-    if granularity == "cell":
-        groups = _group_by_cell(tasks)
-    else:
-        groups = [[task] for task in tasks]
-    max_workers = min(workers, len(groups))
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(_execute_task_group, spec, group) for group in groups]
-        return [result for future in futures for result in future.result()]
-
-
 # ---------------------------------------------------------------------------
 # Shard serialization
 # ---------------------------------------------------------------------------
@@ -601,9 +569,19 @@ def run_shard(
     workers: int = 1,
     granularity: str = "cell",
 ) -> List[TaskResult]:
-    """Execute shard ``index`` of ``count`` of a scenario's schedule."""
+    """Execute shard ``index`` of ``count`` of a scenario's schedule.
+
+    The shard's tasks go through the same in-process dispatcher as a full
+    run (:func:`repro.dist.worker.run_coordinated`); results come back in
+    shard order.
+    """
+    from repro.dist.worker import run_coordinated
+
     tasks = shard_tasks(schedule_tasks(spec), index, count)
-    return execute_tasks(spec, tasks, workers=workers, granularity=granularity)
+    coordinator = run_coordinated(
+        spec, workers=workers, granularity=granularity, tasks=tasks
+    )
+    return coordinator.results()
 
 
 def write_shard(

@@ -1,37 +1,35 @@
 """Distributed execution of the benchmark task graph.
 
-The static execution modes of :mod:`repro.bench.tasks` — a process pool or
-``--shard k/n`` round-robin — assign work up front, so one slow or dead
-machine stalls the whole figure.  This package executes the *same* schedule
-dynamically instead:
+Every scenario schedule executes through one mechanism: a lease
+coordinator handing out groups of pure leaf tasks to workers.
 
 * :class:`~repro.dist.coordinator.Coordinator` holds the pending task queue
   and hands out time-limited **leases**; expired leases are reassigned, late
   or duplicate completions are reconciled (leaves are pure, so at-least-once
   execution still yields exactly-once results);
+* :mod:`~repro.dist.worker` is the in-process dispatcher —
+  :func:`~repro.dist.worker.run_coordinated` drains a coordinator on the
+  calling thread or with worker threads on a shared process pool, and is
+  what :func:`repro.bench.runner.run_scenario` and ``--shard`` runs call;
 * :class:`~repro.dist.transport.LeaseTransport` is the explicit interface
-  of that lifecycle — claim/complete/renew/fail as messages — with three
-  wires: in-memory (the coordinator itself), a shared directory
-  (:class:`~repro.dist.protocol.FileLeaseTransport`), and TCP
+  of that lifecycle — claim/complete/renew/fail as messages — with two
+  wires: in-memory (the coordinator itself) and TCP
   (:mod:`repro.dist.service`);
-* :mod:`~repro.dist.worker` drives local workers — threads pulling leases
-  from any transport and executing on a shared process pool;
-* :mod:`~repro.dist.protocol` is the file-based variant of the lease
-  lifecycle over a shared directory, so workers on other machines can pull
-  work with nothing but filesystem access;
 * :mod:`~repro.dist.service` is **optimization as a service**: a
-  long-lived asyncio TCP server multiplexing many tenants' jobs over
-  persistent worker pools, with admission control and a shared cache so
-  concurrent clients never execute the same deterministic leaf twice;
+  long-lived asyncio TCP server multiplexing many tenants' jobs (one
+  coordinator each) over persistent worker pools, with admission control
+  and a shared cache so concurrent clients never execute the same
+  deterministic leaf twice;
 * :class:`~repro.dist.cache.TaskCache` is a content-addressed store of leaf
   results keyed by provenance hash
   (:func:`repro.bench.tasks.task_provenance_hash`), so deterministic leaves
   — above all the DP(1.01) reference frontiers — are computed once and
   reused across figure variants, re-runs, and tenants.
 
-On step-driven specs every mode is bit-identical to a sequential
-:func:`repro.bench.runner.run_scenario` (pinned by ``tests/test_dist.py``
-and ``tests/test_service.py``).
+On step-driven specs every worker count, granularity, cache state and
+wire is bit-identical to the sequential oracle — each leaf executed in
+schedule order and reduced (pinned by ``tests/test_dist.py`` and
+``tests/test_service.py``).
 """
 
 from repro.dist.cache import TaskCache
@@ -42,12 +40,6 @@ from repro.dist.dp import (
     compute_dp_level,
     dp_provenance_signature,
     dp_subset_key,
-)
-from repro.dist.protocol import (
-    FileLeaseTransport,
-    collect_results,
-    init_workdir,
-    run_worker,
 )
 from repro.dist.service import (
     LeaseService,
@@ -71,10 +63,6 @@ __all__ = [
     "TaskCache",
     "Worker",
     "run_coordinated",
-    "init_workdir",
-    "run_worker",
-    "collect_results",
-    "FileLeaseTransport",
     "LeaseService",
     "ServiceClient",
     "ServiceHandle",

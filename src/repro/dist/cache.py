@@ -72,9 +72,8 @@ _ENTRY_SUFFIXES = (".json", ".bin")
 def write_json_atomic(path: str, payload: dict) -> None:
     """Write a JSON file atomically (temp file + ``os.replace``).
 
-    Readers — including ones on other machines watching a shared
-    directory — only ever observe the complete file.  Used by the cache
-    and by every file of the coordinator's directory protocol.
+    Readers — including other processes sharing the cache directory —
+    only ever observe the complete file.
     """
     directory = os.path.dirname(path)
     fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
@@ -271,8 +270,8 @@ class TaskCache:
     ) -> "Tuple[Dict[TaskSpec, TaskResult], List[TaskSpec]]":
         """Split a task list into cache hits and still-pending tasks.
 
-        The single prefill step every backend runs before executing
-        anything: hits never enter a queue, pool, or work directory.
+        The single prefill step every coordinator runs before executing
+        anything: hits never enter the lease queue.
         """
         hits: Dict[TaskSpec, TaskResult] = {}
         pending: List[TaskSpec] = []
@@ -299,9 +298,9 @@ class TaskCache:
         path = self._entry_path(key)
         try:
             # Entries are content-addressed and immutable: when a valid
-            # entry already exists, skip the redundant write (re-collected
-            # work directories re-put every result).  A corrupt existing
-            # entry falls through and is rewritten.
+            # entry already exists, skip the redundant write (runs and
+            # service jobs sharing one cache can put the same leaf).  A
+            # corrupt existing entry falls through and is rewritten.
             with open(path, "r", encoding="utf-8") as handle:
                 existing = json.load(handle)
             if existing.get("format") == CACHE_ENTRY_FORMAT and existing.get("key") == key:

@@ -169,11 +169,11 @@ class Coordinator(LeaseTransport):
         Tasks already resolved by the cache are ignored.
     transport_label:
         Short label of the wire this coordinator's leases travel over
-        (``"memory"``, ``"file"``, or ``"tcp"``).  Lifecycle counters and
-        the lease-latency histogram are mirrored into the shared registry
+        (``"memory"`` or ``"tcp"``).  Lifecycle counters and the
+        lease-latency histogram are mirrored into the shared registry
         under *both* the unlabelled name (``coordinator.completed``) and
         the per-transport name (``coordinator.completed.tcp``), so
-        ``top`` and the dashboard can tell file and TCP runs apart.
+        ``top`` and the dashboard can tell in-process and TCP runs apart.
     """
 
     def __init__(
@@ -254,8 +254,8 @@ class Coordinator(LeaseTransport):
         """Bump lifecycle counter ``key`` (private + shared registries).
 
         The shared sink additionally gets a per-transport twin
-        (``coordinator.<key>.<transport_label>``) so concurrent file and
-        TCP runs stay distinguishable in ``top`` and the dashboard.
+        (``coordinator.<key>.<transport_label>``) so concurrent in-process
+        and TCP runs stay distinguishable in ``top`` and the dashboard.
         """
         self._metrics.add(f"coordinator.{key}", value)
         if self._shared_metrics is not None:

@@ -1,12 +1,10 @@
 """Optimization as a service: the asyncio TCP lease transport.
 
-The third wire for the lease lifecycle (after the in-memory
-:class:`~repro.dist.coordinator.Coordinator` and the shared-directory
-:class:`~repro.dist.protocol.FileLeaseTransport`): a long-lived
+The remote wire for the lease lifecycle (the local one is the in-memory
+:class:`~repro.dist.coordinator.Coordinator` itself): a long-lived
 :class:`LeaseService` that turns the coordinator from a batch scheduler
-into a network service.  Dispatch becomes a message round-trip instead of
-a directory scan, so lease latency is bounded by the network, not by
-filesystem latency and poll intervals.
+into a network service.  Dispatch is a message round-trip, so lease
+latency is bounded by the network, not by poll intervals.
 
 Topology::
 

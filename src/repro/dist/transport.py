@@ -1,21 +1,17 @@
 """The lease transport interface: one lifecycle, many wires.
 
-Every execution backend in :mod:`repro.dist` moves the *same* lease
-lifecycle (``pending → leased → done`` with expiry, late completions,
-duplicates, validation, and straggler splits — see
-:mod:`repro.dist.coordinator`) over a different wire:
+The lease lifecycle (``pending → leased → done`` with expiry, late
+completions, duplicates, validation, and straggler splits — see
+:mod:`repro.dist.coordinator`) travels over two wires:
 
 * :class:`~repro.dist.coordinator.Coordinator` — in-memory, same-process
-  threads;
-* :class:`~repro.dist.protocol.FileLeaseTransport` — ``O_EXCL`` claim
-  files on a shared filesystem;
+  threads (every :func:`~repro.dist.worker.run_coordinated` run);
 * :class:`~repro.dist.service.RemoteLeaseTransport` — length-prefixed
   JSON frames over a TCP connection to a :class:`~repro.dist.service.
   LeaseService`.
 
-:class:`LeaseTransport` is the explicit contract they all implement, so
-the generic worker loop (:class:`repro.dist.worker.Worker`) can drain any
-of them.  The messages are deliberately tiny:
+:class:`LeaseTransport` is the explicit contract both implement, so the
+generic worker loop (:class:`repro.dist.worker.Worker`) can drain either.  The messages are deliberately tiny:
 
 ====================  ====================================================
 ``request_lease``     claim the next group of tasks (or ``None``)
@@ -122,7 +118,7 @@ class ExponentialBackoff:
     Successive :meth:`next` calls return ``initial``, ``2*initial``,
     ``4*initial``, ... capped at ``cap``, each multiplied by a uniform
     jitter in ``[1-jitter, 1+jitter]`` so a fleet of idle workers does
-    not hammer a shared filesystem (or server) in lockstep.  Call
+    not hammer the server in lockstep.  Call
     :meth:`reset` whenever progress is made.
 
     Jitter only perturbs *sleep scheduling*; task results are unaffected

@@ -4,8 +4,13 @@ A :class:`Worker` is a thread in the coordinator's process that pulls
 leases and executes them — in-process for a single worker, or by
 submitting the lease's task group to a shared ``ProcessPoolExecutor`` so
 that leases run truly in parallel.  :func:`run_coordinated` wires the
-standard topology together (coordinator + N workers + pool) and is what
-``run_scenario(backend="coordinator")`` calls.
+standard topology together (coordinator + N workers + pool); it is the one
+in-process dispatcher behind :func:`repro.bench.runner.run_scenario` and
+:func:`repro.bench.tasks.run_shard`.
+
+Every worker :func:`run_coordinated` starts heartbeats its lease while it
+executes, so a healthy lease is never reclaimed however long its leaves
+run; expiry only ever reclaims the leases of workers that stopped.
 
 Fault model: a worker that raises mid-lease simply stops completing it —
 its thread records the error and exits, the lease expires, and the
@@ -19,7 +24,7 @@ import atexit
 import os
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.bench.scenario import ScenarioSpec
 from repro.bench.tasks import (
@@ -33,6 +38,12 @@ from repro.dist.coordinator import DEFAULT_LEASE_TIMEOUT, Coordinator, Lease
 from repro.dist.transport import LeaseRenewer, LeaseTransport
 from repro.obs import METRICS_OUT_ENV_VAR, get_tracer, global_metrics
 from repro.obs.dashboard import MetricsPublisher
+
+
+#: Heartbeats per lease timeout: a :func:`run_coordinated` worker renews its
+#: lease every ``lease_timeout / RENEWALS_PER_LEASE_TIMEOUT`` seconds, so a
+#: healthy lease survives one missed heartbeat.
+RENEWALS_PER_LEASE_TIMEOUT = 3
 
 
 def _renew_callback(transport: "LeaseTransport", lease_id: str):
@@ -85,10 +96,9 @@ class Worker(threading.Thread):
     """One lease-pulling worker thread.
 
     Drains any :class:`~repro.dist.transport.LeaseTransport` — the
-    in-memory :class:`Coordinator`, the file protocol's
-    :class:`~repro.dist.protocol.FileLeaseTransport`, or the TCP
-    service's :class:`~repro.dist.service.RemoteLeaseTransport` — the
-    loop only speaks the transport's message vocabulary.
+    in-memory :class:`Coordinator` or the TCP service's
+    :class:`~repro.dist.service.RemoteLeaseTransport` — the loop only
+    speaks the transport's message vocabulary.
 
     Parameters
     ----------
@@ -216,26 +226,29 @@ def run_coordinated(
     workers: int = 1,
     granularity: Optional[str] = None,
     cache: Optional[TaskCache] = None,
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-    use_processes: Optional[bool] = None,
-    renew_interval: Optional[float] = None,
+    tasks: Optional[Sequence[TaskSpec]] = None,
 ) -> Coordinator:
     """Execute a scenario's schedule through a coordinator with local workers.
 
-    ``workers == 1`` drains the queue on the calling thread (no pool);
-    ``workers > 1`` starts that many worker threads sharing the persistent
-    :func:`shared_process_pool` (``use_processes=False`` keeps execution on
-    the threads themselves — useful in tests that monkeypatch task
-    execution).  The pool outlives the call, so repeated micro-scale runs
-    pay the fork + warm-up cost once; every error path shuts it down
-    deterministically before raising.  Returns the finished coordinator;
-    call ``results()`` for the task results in schedule order.  Raises the
-    first worker error when the run could not finish.
+    ``tasks`` restricts the run to a subset of the schedule (a ``--shard``
+    slice); by default the whole schedule runs.  ``workers == 1`` drains
+    the queue on the calling thread (no pool); ``workers > 1`` starts that
+    many worker threads sharing the persistent :func:`shared_process_pool`.
+    The pool outlives the call, so repeated micro-scale runs pay the fork +
+    warm-up cost once; every error path shuts it down deterministically
+    before raising.  Each worker renews its lease every
+    ``1/RENEWALS_PER_LEASE_TIMEOUT`` of the lease timeout while executing.
+    Returns the finished coordinator; call ``results()`` for the task
+    results in schedule order.  Raises the first worker error when the run
+    could not finish.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    lease_timeout = DEFAULT_LEASE_TIMEOUT
+    renew_interval = lease_timeout / RENEWALS_PER_LEASE_TIMEOUT
     coordinator = Coordinator(
         spec,
+        tasks=tasks,
         workers_hint=workers,
         granularity=granularity,
         cache=cache,
@@ -249,15 +262,11 @@ def run_coordinated(
     if metrics_path:
         publisher = MetricsPublisher(global_metrics(), metrics_path).start()
     try:
-        if use_processes is None:
-            use_processes = workers > 1
-        if workers == 1 and not use_processes:
+        if workers == 1:
             Worker("worker-0", coordinator, renew_interval=renew_interval).drain()
         else:
-            pool: Optional[ProcessPoolExecutor] = None
             try:
-                if use_processes:
-                    pool = shared_process_pool(workers)
+                pool = shared_process_pool(workers)
                 threads = [
                     Worker(
                         f"worker-{index}",
@@ -272,12 +281,10 @@ def run_coordinated(
                 for thread in threads:
                     thread.join()
             except BaseException:
-                if pool is not None:
-                    shutdown_shared_pool()
+                shutdown_shared_pool()
                 raise
             if not coordinator.done:
-                if pool is not None:
-                    shutdown_shared_pool()
+                shutdown_shared_pool()
                 errors = [
                     thread.error for thread in threads if thread.error is not None
                 ]

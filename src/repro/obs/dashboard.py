@@ -58,7 +58,7 @@ def render_dashboard(snapshot: dict) -> str:
     """One metrics snapshot as a compact coordinator dashboard (pure).
 
     Missing names render as zeros, so the dashboard degrades gracefully on
-    partial runs (e.g. local backend: no shm rows beyond zeros).
+    partial runs (e.g. a scenario run without the DP: no shm rows beyond zeros).
     """
     if snapshot.get("format") != METRICS_SNAPSHOT_FORMAT:
         raise ValueError(

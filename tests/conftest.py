@@ -3,6 +3,9 @@
 The fixtures provide small, fully deterministic queries (fixed cardinalities
 and selectivities rather than random generation) so that tests exercising
 plan costs and search behaviour are reproducible without seeding tricks.
+
+The ``sequential_oracle`` fixture is the reference every execution path of
+a scenario schedule is compared against; it never touches the dispatcher.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import random
 
 import pytest
 
+from repro.bench.runner import ScenarioResult, reduce_task_results
+from repro.bench.tasks import execute_task, schedule_tasks
 from repro.cost.model import MultiObjectiveCostModel
 from repro.plans.operators import OperatorLibrary
 from repro.query.join_graph import JoinGraph
@@ -28,6 +33,30 @@ def build_query(cardinalities, edges, name="test_query"):
     for a, b, selectivity in edges:
         graph.add_edge(a, b, selectivity)
     return Query(tables, graph, name=name)
+
+
+def _sequential_oracle(spec):
+    """A scenario result computed without the dispatcher under test.
+
+    Executes every leaf of the schedule in order on the calling thread and
+    reduces the results — the definition of what any worker count,
+    granularity, cache state, shard merge or service job must reproduce
+    bit for bit on a step-driven spec.
+    """
+    results = [execute_task(spec, task) for task in schedule_tasks(spec)]
+    return ScenarioResult(spec=spec, cells=reduce_task_results(spec, results))
+
+
+@pytest.fixture
+def sequential_oracle():
+    """The dispatcher-free reference run, as a ``spec -> ScenarioResult`` function."""
+    return _sequential_oracle
+
+
+@pytest.fixture(scope="module")
+def sequential_result(step_spec):
+    """The oracle result of the requesting module's ``step_spec`` fixture."""
+    return _sequential_oracle(step_spec)
 
 
 @pytest.fixture

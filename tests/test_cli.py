@@ -49,14 +49,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure1", "--granularity", "query"])
 
-    def test_backend_and_cache_flags(self):
-        args = build_parser().parse_args(
-            ["figure1", "--backend", "coordinator", "--cache-dir", "/tmp/c"]
-        )
-        assert args.backend == "coordinator"
+    def test_cache_dir_flag(self):
+        args = build_parser().parse_args(["figure1", "--cache-dir", "/tmp/c"])
         assert args.cache_dir == "/tmp/c"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure1", "--backend", "cluster"])
+        assert build_parser().parse_args(["figure1"]).cache_dir is None
 
     def test_cache_max_mb_flag(self):
         from repro.bench.cli import _cache_cap_bytes
@@ -76,28 +72,17 @@ class TestParser:
         with pytest.raises(SystemExit, match="requires --cache-dir"):
             _cache_cap_bytes(capless)
 
-    def test_coordinate_parser(self):
-        from repro.bench.cli import build_coordinate_parser
-
-        args = build_coordinate_parser().parse_args(
-            ["figure1", "--dir", "wd", "--workers", "2", "--steps"]
-        )
-        assert args.figure == "figure1"
-        assert args.dir == "wd"
-        assert args.workers == 2
-        assert args.steps is True
-        with pytest.raises(SystemExit):  # --dir is required
-            build_coordinate_parser().parse_args(["figure1"])
-
     def test_work_parser(self):
         from repro.bench.cli import build_work_parser
 
         args = build_work_parser().parse_args(
-            ["--dir", "wd", "--worker-id", "w7", "--max-batches", "3"]
+            ["--attach", "127.0.0.1:7963", "--worker-id", "w7", "--max-batches", "3"]
         )
-        assert args.dir == "wd"
+        assert args.attach == "127.0.0.1:7963"
         assert args.worker_id == "w7"
         assert args.max_batches == 3
+        with pytest.raises(SystemExit):  # --attach is required
+            build_work_parser().parse_args(["--worker-id", "w7"])
 
     def test_steps_and_shard_flags(self):
         args = build_parser().parse_args(
@@ -151,25 +136,28 @@ class TestRun:
         assert "Winners per cell" in output
 
 
+@pytest.fixture
+def tiny_step_figure1(monkeypatch):
+    """Shrink the step-driven figure1 to one 4-table case per shape."""
+    from repro.bench import figures
+    from repro.bench.scenario import ScenarioScale
+
+    original = figures.FIGURE_SPECS["figure1"]
+
+    def tiny_spec(scale=ScenarioScale.DEFAULT):
+        return figures.step_variant(
+            original(ScenarioScale.SMOKE).with_scale_overrides(
+                table_counts=(4,), num_test_cases=1
+            ),
+            step_checkpoints=(1, 2),
+        )
+
+    monkeypatch.setitem(figures.STEP_FIGURE_SPECS, "figure1", tiny_spec)
+
+
+@pytest.mark.usefixtures("tiny_step_figure1")
 class TestShardAndMerge:
     """End-to-end: two --shard runs plus merge equal the sequential run."""
-
-    @pytest.fixture(autouse=True)
-    def tiny_step_figure(self, monkeypatch):
-        from repro.bench import figures
-        from repro.bench.scenario import ScenarioScale
-
-        original = figures.FIGURE_SPECS["figure1"]
-
-        def tiny_spec(scale=ScenarioScale.DEFAULT):
-            return figures.step_variant(
-                original(ScenarioScale.SMOKE).with_scale_overrides(
-                    table_counts=(4,), num_test_cases=1
-                ),
-                step_checkpoints=(1, 2),
-            )
-
-        monkeypatch.setitem(figures.STEP_FIGURE_SPECS, "figure1", tiny_spec)
 
     def test_shard_merge_matches_sequential_report(self, tmp_path):
         paths = []
@@ -202,62 +190,27 @@ class TestShardAndMerge:
             run(["merge", out])
 
 
-class TestCoordinateAndWork:
-    """End-to-end: coordinate + work subcommands match the sequential report."""
+@pytest.mark.usefixtures("tiny_step_figure1")
+class TestCachedRun:
+    """End-to-end: cold and warm --cache-dir runs match the sequential report."""
 
-    @pytest.fixture(autouse=True)
-    def tiny_step_figure(self, monkeypatch):
-        from repro.bench import figures
-        from repro.bench.scenario import ScenarioScale
+    COMMON = ["figure1", "--scale", "smoke", "--steps"]
 
-        original = figures.FIGURE_SPECS["figure1"]
+    def cached(self, tmp_path):
+        return [*self.COMMON, "--workers", "2", "--cache-dir", str(tmp_path / "cache")]
 
-        def tiny_spec(scale=ScenarioScale.DEFAULT):
-            return figures.step_variant(
-                original(ScenarioScale.SMOKE).with_scale_overrides(
-                    table_counts=(4,), num_test_cases=1
-                ),
-                step_checkpoints=(1, 2),
-            )
+    def test_cold_cache_report_matches_sequential(self, tmp_path):
+        assert run(self.cached(tmp_path)) == run(self.COMMON)
 
-        monkeypatch.setitem(figures.STEP_FIGURE_SPECS, "figure1", tiny_spec)
+    def test_warm_cache_run_leases_zero_tasks(self, tmp_path):
+        from repro.obs import global_metrics
 
-    def test_coordinate_report_matches_sequential(self, tmp_path):
-        workdir = str(tmp_path / "workdir")
-        cache_dir = str(tmp_path / "cache")
-        report = run(
-            [
-                "coordinate", "figure1", "--scale", "smoke", "--steps",
-                "--dir", workdir, "--workers", "2",
-                "--cache-dir", cache_dir, "--timeout", "120",
-            ]
-        )
-        sequential = run(["figure1", "--scale", "smoke", "--steps"])
-        header, body = report.split("\n", 1)
-        assert header.startswith("[coordinator:")
-        assert body == sequential
-
-    def test_warm_cache_coordinate_queues_zero_batches(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        common = [
-            "coordinate", "figure1", "--scale", "smoke", "--steps",
-            "--cache-dir", cache_dir, "--timeout", "120",
-        ]
-        run([*common, "--dir", str(tmp_path / "cold"), "--workers", "1"])
-        # Fresh work directory, warm cache: every leaf is prefilled and no
-        # batch is ever queued (--workers 0: nobody could execute one).
-        warm = run([*common, "--dir", str(tmp_path / "warm"), "--workers", "0"])
-        assert "0 batch(es)" in warm.split("\n", 1)[0]
-        sequential = run(["figure1", "--scale", "smoke", "--steps"])
-        assert warm.split("\n", 1)[1] == sequential
-
-    def test_work_subcommand_drains_directory(self, tmp_path):
-        from repro.bench import figures
-        from repro.bench.scenario import ScenarioScale
-        from repro.dist.protocol import init_workdir
-
-        spec = figures.STEP_FIGURE_SPECS["figure1"](ScenarioScale.SMOKE)
-        workdir = str(tmp_path / "workdir")
-        meta = init_workdir(workdir, spec)
-        report = run(["work", "--dir", workdir, "--worker-id", "w0"])
-        assert f"executed {meta['batches']} batch(es)" in report
+        sequential = run(self.COMMON)
+        run(self.cached(tmp_path))
+        metrics = global_metrics()
+        scheduled = metrics.counter("coordinator.scheduled")
+        hits = metrics.counter("coordinator.cache_hits")
+        assert run(self.cached(tmp_path)) == sequential
+        # The warm run served every leaf from the cache and leased none.
+        assert metrics.counter("coordinator.scheduled") == scheduled
+        assert metrics.counter("coordinator.cache_hits") > hits

@@ -1,20 +1,20 @@
 """Tests for the distributed coordinator subsystem (repro.dist).
 
-The headline property: on step-driven specs, ``backend="coordinator"``
-produces output bit-identical to sequential ``run_scenario`` with 1, 2,
-and 4 workers — through worker death, corrupted completions, duplicate
-completions, and warm-cache runs that execute zero DP-reference leaves.
+The headline property: on step-driven specs, ``run_scenario`` produces
+output bit-identical to the sequential oracle (``tests/conftest.py``) with
+1, 2, and 4 workers — through worker death, corrupted completions,
+duplicate completions, and warm-cache runs that execute zero DP-reference
+leaves.
 """
 
 import dataclasses
-import json
 import os
-import threading
+import time
 
 import pytest
 
 import repro.bench.tasks as tasks_module
-from repro.bench.runner import ScenarioResult, reduce_task_results, run_scenario
+from repro.bench.runner import reduce_task_results, run_scenario
 from repro.bench.scenario import ScenarioScale, ScenarioSpec
 from repro.bench.tasks import (
     ROLE_REFERENCE,
@@ -26,12 +26,6 @@ from repro.bench.tasks import (
 )
 from repro.dist import TaskCache, Worker, run_coordinated
 from repro.dist.coordinator import Coordinator, LeaseValidationError
-from repro.dist.protocol import (
-    collect_results,
-    init_workdir,
-    load_workdir,
-    run_worker,
-)
 from repro.query.join_graph import GraphShape
 
 
@@ -51,11 +45,6 @@ def step_spec():
         seed=11,
         scale=ScenarioScale.SMOKE,
     )
-
-
-@pytest.fixture(scope="module")
-def sequential_result(step_spec):
-    return run_scenario(step_spec, workers=1)
 
 
 class FakeClock:
@@ -512,12 +501,8 @@ class TestStragglerSplitting:
 class TestCoordinatorBackend:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bit_identical_to_sequential(self, step_spec, sequential_result, workers):
-        result = run_scenario(step_spec, backend="coordinator", workers=workers)
+        result = run_scenario(step_spec, workers=workers)
         assert result.cells == sequential_result.cells
-
-    def test_spec_backend_field_selects_coordinator(self, step_spec, sequential_result):
-        spec = dataclasses.replace(step_spec, backend="coordinator", workers=2)
-        assert run_scenario(spec).cells == sequential_result.cells
 
     def test_worker_death_mid_lease(self, step_spec, sequential_result):
         # One worker dies on its first lease; the lease expires and the
@@ -547,32 +532,67 @@ class TestCoordinatorBackend:
         assert cells == sequential_result.cells
 
 
+class TestLeaseRenewal:
+    def test_slow_leaf_keeps_its_lease(
+        self, step_spec, sequential_result, tmp_path, monkeypatch
+    ):
+        # A healthy worker on a leaf that outlives the lease timeout must
+        # heartbeat its lease: without renewal the idle second worker
+        # reclaims it and executes the leaf a second time.
+        import repro.dist.worker as worker_module
+
+        schedule = schedule_tasks(step_spec)
+        slow_task = schedule[0]
+        log = tmp_path / "executed.log"
+        real_execute = tasks_module.execute_task
+
+        def logged_execute(spec, task, cost_model=None):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(task.task_id + "\n")
+            if task == slow_task:
+                time.sleep(2.0)
+            return real_execute(spec, task, cost_model=cost_model)
+
+        monkeypatch.setattr(worker_module, "DEFAULT_LEASE_TIMEOUT", 0.6)
+        monkeypatch.setattr(tasks_module, "execute_task", logged_execute)
+        # Pool processes fork from this one and so inherit the patch; the
+        # pool is torn down again so later tests get unpatched workers.
+        worker_module.shutdown_shared_pool()
+        try:
+            coordinator = run_coordinated(step_spec, workers=2, granularity="case")
+        finally:
+            worker_module.shutdown_shared_pool()
+        stats = coordinator.stats
+        assert stats["reassignments"] == 0
+        assert stats["renewals"] >= 1
+        executed = log.read_text(encoding="utf-8").split()
+        assert sorted(executed) == sorted(task.task_id for task in schedule)
+        cells = reduce_task_results(step_spec, coordinator.results())
+        assert cells == sequential_result.cells
+
+
 # ---------------------------------------------------------------------------
 # Warm cache: zero DP-reference leaves executed
 # ---------------------------------------------------------------------------
 class TestWarmCache:
     def test_cold_run_populates_cache(self, step_spec, sequential_result, tmp_path):
         cache = TaskCache(os.fspath(tmp_path / "cache"))
-        result = run_scenario(
-            step_spec, backend="coordinator", workers=1, cache=cache
-        )
+        result = run_scenario(step_spec, workers=1, cache=cache)
         assert result.cells == sequential_result.cells
         assert len(cache) == len(schedule_tasks(step_spec))
 
     def test_warm_rerun_executes_zero_reference_leaves(
-        self, step_spec, sequential_result, tmp_path, monkeypatch
+        self, step_spec, sequential_oracle, tmp_path, monkeypatch
     ):
         cache_dir = os.fspath(tmp_path / "cache")
-        run_scenario(
-            step_spec, backend="coordinator", workers=1, cache=TaskCache(cache_dir)
-        )
+        run_scenario(step_spec, workers=1, cache=TaskCache(cache_dir))
         # A variant of the figure (different algorithm set) shares the
         # DP-reference leaves.  With the reference computation rigged to
         # explode, only cache hits can complete the warm run.
         variant = dataclasses.replace(
             step_spec, name="dist-smoke-variant", algorithms=("RandomSampling",)
         )
-        variant_sequential = run_scenario(variant, workers=1)
+        variant_sequential = sequential_oracle(variant)
         clear_reference_memo()
 
         def boom(*args, **kwargs):
@@ -642,158 +662,3 @@ class TestReferenceMemo:
             step_spec.num_cells * step_spec.num_test_cases
         )
         assert reference_memo_size() == 0
-
-
-# ---------------------------------------------------------------------------
-# File protocol (shared-directory leases)
-# ---------------------------------------------------------------------------
-class TestFileProtocol:
-    def _reduce(self, spec, results):
-        return ScenarioResult(spec=spec, cells=reduce_task_results(spec, results))
-
-    def test_two_file_workers_match_sequential(
-        self, step_spec, sequential_result, tmp_path
-    ):
-        workdir = os.fspath(tmp_path / "wd")
-        meta = init_workdir(workdir, step_spec, workers_hint=2)
-        assert meta["batches"] > 0
-        threads = [
-            threading.Thread(
-                target=run_worker,
-                args=(workdir,),
-                kwargs={"worker_id": f"w{index}", "poll": 0.01},
-            )
-            for index in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        spec, results = collect_results(workdir, timeout=120, poll=0.01)
-        for thread in threads:
-            thread.join(timeout=30)
-        assert self._reduce(spec, results).cells == sequential_result.cells
-
-    def test_resume_reuses_existing_results(self, step_spec, tmp_path):
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec)
-        run_worker(workdir, worker_id="w0", poll=0.01)
-        # Re-initializing the same scenario resumes; a worker finds nothing
-        # left to do.
-        init_workdir(workdir, step_spec)
-        assert run_worker(workdir, worker_id="w1", poll=0.01) == 0
-
-    def test_foreign_scenario_refused(self, step_spec, tmp_path):
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec)
-        other = dataclasses.replace(step_spec, seed=step_spec.seed + 1)
-        with pytest.raises(ValueError, match="different scenario"):
-            init_workdir(workdir, other)
-
-    def test_expired_claim_is_stolen(self, step_spec, tmp_path):
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec, lease_timeout=0.1)
-        claim_dir = os.path.join(workdir, "claims")
-        # A worker claimed batch-0000 long ago and died.
-        with open(os.path.join(claim_dir, "batch-0000.json"), "w") as handle:
-            json.dump({"worker": "dead", "claimed_at": 0.0}, handle)
-        executed = run_worker(workdir, worker_id="survivor", poll=0.01)
-        spec, results = collect_results(workdir, timeout=30, poll=0.01)
-        assert executed == load_workdir(workdir)[1]["batches"]
-        assert len(results) == len(schedule_tasks(step_spec))
-
-    def test_corrupt_result_file_is_purged_and_reexecuted(
-        self, step_spec, sequential_result, tmp_path
-    ):
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec)
-        result_path = os.path.join(workdir, "results", "batch-0000.json")
-        with open(result_path, "w") as handle:
-            handle.write('{"format": "garbage"}')
-        run_worker(workdir, worker_id="w0", poll=0.01)
-        spec, results = collect_results(workdir, timeout=30, poll=0.01)
-        assert self._reduce(spec, results).cells == sequential_result.cells
-
-    def test_partial_result_file_is_purged_and_reexecuted(
-        self, step_spec, sequential_result, tmp_path
-    ):
-        # A worker that drops one task from its batch (a partial shard)
-        # must be detected and its batch re-executed.
-        workdir = os.fspath(tmp_path / "wd")
-        meta = init_workdir(workdir, step_spec, workers_hint=1)  # cell batches
-        run_worker(workdir, worker_id="w0", poll=0.01)
-        result_path = os.path.join(workdir, "results", "batch-0000.json")
-        with open(result_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert len(payload["results"]) > 1
-        payload["results"] = payload["results"][:-1]
-        with open(result_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        run_worker(workdir, worker_id="w1", poll=0.01)
-        spec, results = collect_results(workdir, timeout=30, poll=0.01)
-        assert self._reduce(spec, results).cells == sequential_result.cells
-
-    def test_unreadable_claim_expires_via_mtime(self, step_spec, tmp_path):
-        # A worker killed between creating and writing its claim leaves a
-        # 0-byte file; it must still expire (by mtime) instead of making
-        # the batch permanently unclaimable.
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec, lease_timeout=0.1)
-        claim_path = os.path.join(workdir, "claims", "batch-0000.json")
-        open(claim_path, "w").close()  # empty claim
-        old = 1.0  # epoch: long past any lease timeout
-        os.utime(claim_path, (old, old))
-        executed = run_worker(workdir, worker_id="survivor", poll=0.01)
-        assert executed == load_workdir(workdir)[1]["batches"]
-
-    def test_lost_cache_prefill_is_rebuilt(
-        self, step_spec, sequential_result, tmp_path
-    ):
-        # results/cached.json holds tasks that exist in no queue batch; if
-        # it is corrupted after init, collect must rebuild it (from the
-        # cache) rather than fail coverage forever.
-        cache = TaskCache(os.fspath(tmp_path / "cache"))
-        run_scenario(step_spec, workers=1, cache=cache)
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec, cache=cache)
-        cached_path = os.path.join(workdir, "results", "cached.json")
-        with open(cached_path, "w") as handle:
-            handle.write("{corrupt")
-        spec, results = collect_results(workdir, timeout=30, poll=0.01, cache=cache)
-        assert self._reduce(spec, results).cells == sequential_result.cells
-
-    def test_lost_cache_prefill_reexecutes_without_cache(
-        self, step_spec, sequential_result, tmp_path
-    ):
-        # Same scenario but the collector has no cache attached: the
-        # prefilled leaves are deterministic, so they are re-executed.
-        cache = TaskCache(os.fspath(tmp_path / "cache"))
-        run_scenario(step_spec, workers=1, cache=cache)
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec, cache=cache)
-        os.unlink(os.path.join(workdir, "results", "cached.json"))
-        spec, results = collect_results(workdir, timeout=30, poll=0.01)
-        assert self._reduce(spec, results).cells == sequential_result.cells
-
-    def test_collect_timeout(self, step_spec, tmp_path):
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec)
-        with pytest.raises(TimeoutError):
-            collect_results(workdir, timeout=0.05, poll=0.01)
-
-    def test_stop_event_ends_worker_promptly(self, step_spec, tmp_path):
-        # The coordinate CLI sets this event when the collector gives up;
-        # the worker must return at the next batch boundary.
-        workdir = os.fspath(tmp_path / "wd")
-        init_workdir(workdir, step_spec)
-        stop = threading.Event()
-        stop.set()
-        assert run_worker(workdir, worker_id="w0", stop=stop) == 0
-
-    def test_cache_prefill_skips_queue(self, step_spec, tmp_path):
-        cache = TaskCache(os.fspath(tmp_path / "cache"))
-        run_scenario(step_spec, workers=1, cache=cache)
-        workdir = os.fspath(tmp_path / "wd")
-        meta = init_workdir(workdir, step_spec, cache=cache)
-        assert meta["batches"] == 0
-        assert meta["cached_tasks"] == len(schedule_tasks(step_spec))
-        spec, results = collect_results(workdir, timeout=5, poll=0.01)
-        assert len(results) == len(schedule_tasks(step_spec))

@@ -292,7 +292,7 @@ class TestDisabledOverhead:
 class TestChromeTraceExport:
     def test_payload_validates_and_round_trips(self, tmp_path):
         tracer = Tracer()
-        with tracer.span("scenario.execute", backend="local"):
+        with tracer.span("scenario.execute", workers=1):
             tracer.event("cache.corrupt_entry", key="k")
         payload = chrome_trace_payload(tracer)
         assert validate_chrome_trace(payload) == []

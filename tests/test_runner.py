@@ -170,16 +170,19 @@ class TestParallelRunner:
             scale=ScenarioScale.SMOKE,
         )
 
-    def test_workers_reproduce_sequential_results(self, deterministic_spec):
-        sequential = run_scenario(deterministic_spec, workers=1)
-        parallel = run_scenario(deterministic_spec, workers=2)
-        assert parallel.cells == sequential.cells
+    def test_workers_reproduce_sequential_results(
+        self, deterministic_spec, sequential_oracle
+    ):
+        sequential = sequential_oracle(deterministic_spec)
+        for workers in (1, 2):
+            result = run_scenario(deterministic_spec, workers=workers)
+            assert result.cells == sequential.cells
 
-    def test_workers_from_spec(self, deterministic_spec):
+    def test_workers_from_spec(self, deterministic_spec, sequential_oracle):
         import dataclasses
 
         spec = dataclasses.replace(deterministic_spec, workers=2)
-        assert run_scenario(spec).cells == run_scenario(deterministic_spec).cells
+        assert run_scenario(spec).cells == sequential_oracle(deterministic_spec).cells
 
     def test_step_checkpoints_reported_as_checkpoint_values(self, deterministic_spec):
         result = run_scenario(deterministic_spec)

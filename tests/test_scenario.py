@@ -88,23 +88,22 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValueError):
             _minimal_spec(granularity="query")
 
-    def test_backend_accepted(self):
-        assert _minimal_spec().backend == "local"
-        assert _minimal_spec(backend="coordinator").backend == "coordinator"
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            _minimal_spec(backend="cluster")
-
     def test_from_json_defaults_for_old_payloads(self):
-        # Payloads written before the coordinator PR carry neither
-        # granularity nor backend; they must load with the old semantics.
+        # Payloads written before the coordinator PR carry no granularity;
+        # they must load with the old semantics.
         data = _minimal_spec().to_json_dict()
         del data["granularity"]
-        del data["backend"]
         spec = ScenarioSpec.from_json_dict(data)
         assert spec.granularity == "cell"
-        assert spec.backend == "local"
+
+    def test_from_json_ignores_retired_backend_field(self):
+        # Payloads written while specs carried an execution ``backend``
+        # still load; the field no longer exists.
+        spec = _minimal_spec()
+        for backend in ("local", "coordinator"):
+            data = {**spec.to_json_dict(), "backend": backend}
+            assert ScenarioSpec.from_json_dict(data) == spec
+        assert "backend" not in spec.to_json_dict()
 
     def test_json_round_trip(self):
         spec = _minimal_spec(step_checkpoints=(2, 4), granularity="case")

@@ -3,7 +3,7 @@
 The headline property mirrors ``tests/test_dist.py``: every service-backed
 run — through dropped connections, half-written frames, worker death
 between claim and result, duplicate and late completions — reduces to
-output bit-identical to sequential ``run_scenario``.  On top of that the
+output bit-identical to the sequential oracle of ``tests/conftest.py``.  On top of that the
 service adds multi-tenant guarantees: concurrent clients lease zero
 duplicate deterministic leaves, admission control bounds live jobs, and
 heartbeat renewal keeps slow-but-healthy leases from being reclaimed.
@@ -18,12 +18,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench.runner import reduce_task_results, run_scenario
+from repro.bench.runner import reduce_task_results
 from repro.bench.scenario import ScenarioScale, ScenarioSpec
 from repro.bench.tasks import _execute_task_group, schedule_tasks
 from repro.dist import TaskCache
 from repro.dist.coordinator import Coordinator, LeaseValidationError
-from repro.dist.protocol import FileLeaseTransport, init_workdir
 from repro.dist.service import (
     KIND_BYTES,
     KIND_JSON,
@@ -62,11 +61,6 @@ def step_spec():
         seed=11,
         scale=ScenarioScale.SMOKE,
     )
-
-
-@pytest.fixture(scope="module")
-def sequential_result(step_spec):
-    return run_scenario(step_spec, workers=1)
 
 
 @contextlib.contextmanager
@@ -559,43 +553,8 @@ class TestSharedCache:
                 assert client.cache_get_bytes("k") is None
 
 
-# ---------------------------------------------------------------------------
-# File transport: claim renewal and backoff polling
-# ---------------------------------------------------------------------------
-class TestFileTransportRenewal:
-    def test_renewed_claim_is_never_stolen(self, step_spec, tmp_path):
-        workdir = str(tmp_path / "work")
-        init_workdir(workdir, step_spec, lease_timeout=10.0)
-        clock = FakeClock(1000.0)
-        holder = FileLeaseTransport(workdir, worker_id="holder", clock=clock)
-        thief = FileLeaseTransport(workdir, worker_id="thief", clock=clock)
-        lease = holder.request_lease("holder")
-        assert lease is not None
-        batch = lease.lease_id.rsplit(".", 1)[0]
-        # Renew at 60% of the timeout, then step past the *original*
-        # deadline: the refreshed claim must hold.
-        clock.advance(6.0)
-        assert holder.renew_lease(lease.lease_id) is True
-        clock.advance(6.0)
-        stolen = thief.request_lease("thief")
-        assert stolen is None or not stolen.lease_id.startswith(batch + ".")
-        # Without further renewals the refreshed claim expires too.
-        clock.advance(10.0)
-        restolen = thief.request_lease("thief")
-        assert restolen is not None
-        assert holder.renew_lease(lease.lease_id) is False  # now thief's
-
-    def test_stale_lease_id_cannot_renew(self, step_spec, tmp_path):
-        workdir = str(tmp_path / "work")
-        init_workdir(workdir, step_spec, lease_timeout=10.0)
-        transport = FileLeaseTransport(workdir, worker_id="w")
-        with pytest.raises(LeaseValidationError):
-            transport.fail_lease("queue-00000.9")
-        assert transport.renew_lease("queue-00000.9") is False
-
-
 class FakeClock:
-    """Settable clock for claim-expiry tests (file protocol uses time.time)."""
+    """Settable monotonic clock for lease-expiry tests."""
 
     def __init__(self, start: float = 0.0) -> None:
         self.now = start

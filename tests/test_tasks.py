@@ -2,8 +2,9 @@
 
 The headline property — pinned by ``TestShardDeterminism`` — is that a
 step-driven scenario produces bit-identical results however it is executed:
-strictly sequential, in parallel at ``cell`` or ``case`` granularity, or as
-shards serialized to JSON and merged later.
+on one worker or several, at ``cell`` or ``case`` granularity, or as shards
+serialized to JSON and merged later — always equal to the sequential oracle
+of ``tests/conftest.py``.
 """
 
 import dataclasses
@@ -20,8 +21,8 @@ from repro.bench.tasks import (
     ROLE_REFERENCE,
     TaskResult,
     TaskSpec,
+    SHARD_FORMAT,
     execute_task,
-    execute_tasks,
     load_shards,
     resolve_granularity,
     run_shard,
@@ -65,11 +66,6 @@ def reference_spec():
         seed=13,
         scale=ScenarioScale.SMOKE,
     )
-
-
-@pytest.fixture(scope="module")
-def sequential_result(step_spec):
-    return run_scenario(step_spec, workers=1)
 
 
 class TestSchedule:
@@ -167,7 +163,7 @@ class TestSerialization:
 
 
 class TestShardDeterminism:
-    """run_scenario == case-granularity parallel run == shard merge, bit-for-bit."""
+    """Oracle == parallel run at any granularity == shard merge, bit-for-bit."""
 
     def test_case_granularity_parallel_matches_sequential(
         self, step_spec, sequential_result
@@ -193,8 +189,10 @@ class TestShardDeterminism:
         assert merged.spec == step_spec
         assert merged.cells == sequential_result.cells
 
-    def test_reference_spec_merge_matches_sequential(self, reference_spec, tmp_path):
-        sequential = run_scenario(reference_spec)
+    def test_reference_spec_merge_matches_sequential(
+        self, reference_spec, sequential_oracle, tmp_path
+    ):
+        sequential = sequential_oracle(reference_spec)
         paths = []
         for index in range(2):
             path = os.fspath(tmp_path / f"ref-shard{index}.json")
@@ -205,7 +203,7 @@ class TestShardDeterminism:
         assert merge_shards(paths).cells == sequential.cells
 
     def test_reduce_is_order_insensitive(self, step_spec, sequential_result):
-        results = execute_tasks(step_spec, schedule_tasks(step_spec))
+        results = [execute_task(step_spec, task) for task in schedule_tasks(step_spec)]
         reversed_reduce = reduce_task_results(step_spec, list(reversed(results)))
         assert reversed_reduce == sequential_result.cells
 
@@ -252,8 +250,22 @@ class TestMergeValidation:
     def test_non_shard_file_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError, match="not a repro-shard-v2"):
+        with pytest.raises(ValueError, match=f"not a {SHARD_FORMAT}"):
             load_shards([os.fspath(path)])
+
+    def test_previous_shard_format_refused_by_name(self, step_spec, tmp_path):
+        # A v2 shard embeds the retired ``backend`` spec field; it must be
+        # refused by its format name, not by a misleading hash mismatch.
+        path = os.fspath(tmp_path / "v2.json")
+        write_shard(path, step_spec, 0, 1, run_shard(step_spec, 0, 1))
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["format"] = "repro-shard-v2"
+        payload["spec"]["backend"] = "local"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match="not a repro-shard-v3 shard file"):
+            load_shards([path])
 
     def test_tampered_spec_rejected_by_provenance_hash(self, step_spec, tmp_path):
         # Editing the embedded spec after the run must be caught even though
@@ -326,7 +338,9 @@ class TestProvenance:
     def test_provenance_report_lists_every_task(self, step_spec):
         from repro.bench.reporting import format_task_provenance
 
-        results = execute_tasks(step_spec, schedule_tasks(step_spec)[:3])
+        results = [
+            execute_task(step_spec, task) for task in schedule_tasks(step_spec)[:3]
+        ]
         report = format_task_provenance(results)
         assert "Task provenance (3 tasks):" in report
         for result in results:
