@@ -505,13 +505,34 @@ def _resolve_figure_spec(args: argparse.Namespace) -> ScenarioSpec:
     return spec
 
 
+def _stop_on_signals(stop: threading.Event) -> None:
+    """Make SIGTERM and SIGINT set ``stop`` instead of killing the process.
+
+    Signal handlers can only be installed on the main thread; tests call
+    :func:`run` directly from worker threads, where KeyboardInterrupt still
+    applies.
+    """
+    import signal
+
+    try:
+        signal.signal(signal.SIGTERM, lambda *_: stop.set())
+        signal.signal(signal.SIGINT, lambda *_: stop.set())
+    except ValueError:
+        pass
+
+
 def _run_work(argv: Sequence[str]) -> str:
     from repro.dist.service import run_service_worker
 
     args = build_work_parser().parse_args(argv)
+    # A signal ends the worker loops cleanly, so the process pool of
+    # ``--workers N`` is shut down before the process exits.
+    stop = threading.Event()
+    _stop_on_signals(stop)
     counters = run_service_worker(
         _parse_address(args.attach),
         workers=max(1, args.workers),
+        stop=stop,
         max_leases=args.max_batches,
         poll=args.poll,
         poll_cap=args.poll_cap,
@@ -605,16 +626,7 @@ def _run_serve(argv: Sequence[str]) -> str:
             fh.write(f"{host}:{port}\n")
     print(f"[service listening on {host}:{port}]", flush=True)
     stop = threading.Event()
-    try:
-        # SIGTERM/SIGINT end the serve loop cleanly; signal handlers can
-        # only be installed on the main thread (tests call run() directly
-        # from worker threads, where KeyboardInterrupt still applies).
-        import signal
-
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-    except ValueError:
-        pass
+    _stop_on_signals(stop)
     publisher = None
     metrics_path = os.environ.get(METRICS_OUT_ENV_VAR)
     if metrics_path:

@@ -202,14 +202,20 @@ class ArenaParetoClimber:
     """Multi-objective hill climbing on the columnar engine.
 
     The algorithm is :class:`ParetoClimber`'s, move for move; the difference
-    is purely mechanical.  A ``ParetoStep`` node first *describes* its whole
-    neighborhood as uncosted :class:`~repro.cost.batch.JoinSpec` candidates
-    (via :class:`~repro.plans.transformations.ArenaTransformationRules`),
-    then costs them in one batched
-    :meth:`~repro.cost.batch.BatchCostModel.cost_specs` call and prunes per
-    output format.  Only the per-format winners are realized into arena
-    nodes, so a climb allocates a handful of rows per step instead of one
-    ``Plan`` tree per candidate.
+    is purely mechanical.  Where the object climber recurses node by node,
+    a ``ParetoStep`` here walks the plan tree one height at a time, bottom
+    up.  Nodes of equal height are never ancestor and descendant, so no
+    node's neighborhood depends on another's winners: each height
+    *describes* the neighborhoods of all its nodes as uncosted
+    :class:`~repro.cost.batch.JoinSpec` candidates (via
+    :class:`~repro.plans.transformations.ArenaTransformationRules`), with
+    each node's rebuild on improved children and the structural
+    intermediates as pending specs, costs them in one batched
+    :meth:`~repro.cost.batch.BatchCostModel.cost_specs` call, and prunes
+    each node per output format.  Only the per-format winners (and the
+    intermediates they use) are realized into arena nodes, so a climb
+    allocates a handful of rows per step instead of one ``Plan`` tree per
+    candidate.
 
     ``ParetoStep`` is a pure function of the (hash-consed) plan handle, so
     its result is memoized per handle: successive climb steps share every
@@ -239,45 +245,79 @@ class ArenaParetoClimber:
         self._store_policy = resolve_store_policy(store)
         self._plans_built = 0
         # handle -> (winners per format, candidate count of the whole
-        # recursion), see the class docstring.
+        # sub-tree), see the class docstring.
         self._step_memo: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------ ParetoStep
     def pareto_step(self, handle: int) -> Dict[int, int]:
         """One parallel transformation step; maps format codes to handles."""
-        cached = self._step_memo.get(handle)
-        if cached is not None:
-            winners, subtree_candidates = cached
-            self._plans_built += subtree_candidates
-            return winners
-        built_before = self._plans_built
-        winners = self._pareto_step_uncached(handle)
-        self._step_memo[handle] = (winners, self._plans_built - built_before)
+        if handle not in self._step_memo:
+            self._step_by_height(handle)
+        winners, subtree_candidates = self._step_memo[handle]
+        self._plans_built += subtree_candidates
         return winners
 
-    def _pareto_step_uncached(self, handle: int) -> Dict[int, int]:
+    def _step_by_height(self, root: int) -> None:
+        """Memoize ``ParetoStep`` for every uncached node of ``root``'s tree."""
         arena = self._arena
-        if not arena.is_join(handle):
-            candidates: "List[PlanRef]" = self._rules.mutations(handle, [])
-            self._plans_built += len(candidates)
-            return self._prune_per_format(candidates)
-        outer_pareto = self.pareto_step(arena.outer(handle))
-        inner_pareto = self.pareto_step(arena.inner(handle))
-        pending: "List[JoinSpec]" = []
-        candidates = []
-        original_outer = arena.outer(handle)
-        original_inner = arena.inner(handle)
-        root_code = arena.op_code(handle)
-        for outer in outer_pareto.values():
-            for inner in inner_pareto.values():
-                if outer == original_outer and inner == original_inner:
-                    rebuilt = handle
-                else:
-                    rebuilt = self._rules.rebuild_join(outer, inner, root_code)
-                candidates.extend(self._rules.mutations(rebuilt, pending))
-        self._plans_built += len(candidates)
-        self._model.cost_specs(pending)
-        return self._prune_per_format(candidates)
+        memo = self._step_memo
+        rules = self._rules
+        for level in self._uncached_by_height(root):
+            pending: "List[JoinSpec]" = []
+            neighborhoods = []
+            for node in level:
+                if not arena.is_join(node):
+                    neighborhoods.append((node, rules.mutations(node, pending), 0))
+                    continue
+                outer = arena.outer(node)
+                inner = arena.inner(node)
+                outer_winners, outer_candidates = memo[outer]
+                inner_winners, inner_candidates = memo[inner]
+                root_code = arena.op_code(node)
+                candidates: "List[PlanRef]" = []
+                for new_outer in outer_winners.values():
+                    for new_inner in inner_winners.values():
+                        if new_outer == outer and new_inner == inner:
+                            rebuilt: "PlanRef" = node
+                        else:
+                            rebuilt = rules.describe_join(
+                                new_outer, new_inner, root_code, pending
+                            )
+                        candidates.extend(rules.mutations(rebuilt, pending))
+                neighborhoods.append(
+                    (node, candidates, outer_candidates + inner_candidates)
+                )
+            if pending:
+                self._model.cost_specs(pending)
+            for node, candidates, below in neighborhoods:
+                memo[node] = (
+                    self._prune_per_format(candidates),
+                    below + len(candidates),
+                )
+
+    def _uncached_by_height(self, root: int) -> List[List[int]]:
+        """The tree's unmemoized nodes grouped by height, bottom up.
+
+        A node's height counts only unmemoized descendants: 0 when it has
+        none, else one more than its taller unmemoized child.
+        """
+        arena = self._arena
+        memo = self._step_memo
+        levels: List[List[int]] = []
+
+        def visit(node: int) -> int:
+            if node in memo:
+                return -1
+            height = 0
+            if arena.is_join(node):
+                height = 1 + max(visit(arena.outer(node)), visit(arena.inner(node)))
+            if height == len(levels):
+                levels.append([])
+            levels[height].append(node)
+            return height
+
+        visit(root)
+        return levels
 
     # ----------------------------------------------------------- ParetoClimb
     def climb(self, handle: int) -> ClimbResult:

@@ -11,9 +11,10 @@ algorithms' inner loops are built on:
   per operator — the combination step of ``ApproximateFrontiers``
   (Algorithm 3) that dominates RMQ's iteration time;
 * :meth:`cost_specs` costs a list of :class:`JoinSpec` candidate descriptions
-  (the hill-climbing neighborhoods) through a structure-keyed memo — climb
-  neighborhoods repeat almost entirely between steps, so most candidates are
-  dictionary hits rather than arithmetic.
+  (the hill-climbing neighborhoods of one plan-tree height) — pending
+  intermediates first, then the specs built on them — gathering every
+  child's cardinality, cost row and table-set bits in one pass and running
+  the node kernels once per operator over the whole list.
 
 Candidates are *described and costed before any node is created*; only the
 candidates a frontier accepts (or a climb selects) are realized into arena
@@ -33,15 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cost.model import MultiObjectiveCostModel
-from repro.plans.arena import PlanArena
+from repro.plans.arena import PlanArena, bits_members
 from repro.plans.operators import DataFormat, JoinOperator, ScanOperator
 
 __all__ = ["BatchCostModel", "CandidateBatch", "JoinSpec"]
 
-#: Below this many memo misses, spec costing stays on the scalar kernels
-#: (NumPy dispatch overhead exceeds the arithmetic for tiny groups; the
-#: results are bit-identical either way).
-SMALL_SPEC_BATCH = 24
+#: Below this many specs in one dependency round, spec costing stays on the
+#: scalar kernel (NumPy dispatch overhead exceeds the arithmetic for tiny
+#: groups; the results are bit-identical either way).
+SMALL_SPEC_BATCH = 64
 
 
 @dataclass
@@ -49,20 +50,23 @@ class JoinSpec:
     """A candidate join that has not been realized into the arena yet.
 
     ``outer`` / ``inner`` are either arena handles (``int``) or other
-    :class:`JoinSpec` instances whose costs were resolved earlier — candidate
-    neighborhoods need at most two levels (an associativity/exchange rebuild
-    below the mutated root).  ``cardinality`` and ``cost`` are filled by
+    :class:`JoinSpec` instances — the *pending* intermediates of
+    associativity/exchange moves and of a climb step's node rebuild, which
+    are described rather than built, so candidate neighborhoods need at most
+    two levels.  ``cardinality``, ``cost`` and ``rel_bits`` (the joined
+    table set as a bitset, the OR of the children's) are filled by
     :meth:`BatchCostModel.cost_specs`; ``handle`` by
     :meth:`BatchCostModel.realize`.
     """
 
-    __slots__ = ("outer", "inner", "op_code", "cardinality", "cost", "handle")
+    __slots__ = ("outer", "inner", "op_code", "cardinality", "cost", "rel_bits", "handle")
 
     outer: Union[int, "JoinSpec"]
     inner: Union[int, "JoinSpec"]
     op_code: int
     cardinality: float
     cost: Tuple[float, ...] | None
+    rel_bits: int
     handle: int | None
 
     def __init__(
@@ -73,6 +77,7 @@ class JoinSpec:
         self.op_code = op_code
         self.cardinality = 0.0
         self.cost = None
+        self.rel_bits = 0
         self.handle = None
 
 
@@ -181,14 +186,9 @@ class BatchCostModel:
         self._applicable_counts = np.asarray(
             [len(codes) for codes in self._applicable_by_format], dtype=np.int64
         )
-        # Memoized candidate costs: hill-climbing neighborhoods re-derive the
-        # same candidate joins on every climb step (a sub-tree that has
-        # stopped improving re-describes an identical neighborhood), so the
-        # (cardinality, cost) of a candidate keyed by its structure is
-        # looked up far more often than computed.  Costing is deterministic,
-        # so serving memo hits is exact.
-        self._spec_memo: Dict[object, Tuple[float, Tuple[float, ...]]] = {}
-        self._selectivity_memo: Dict[Tuple[frozenset, frozenset], float] = {}
+        # Join selectivity per (outer, inner) table-set bitset pair; the
+        # frozensets the join graph needs are built only on a miss.
+        self._selectivity_memo: Dict[Tuple[int, int], float] = {}
         # Candidate-pattern memo of the trusted level path: frontiers with
         # the same inner-format sequence (ubiquitous across the splits of a
         # DP level) share one (pattern_ops, pattern_inner, per_outer) layout.
@@ -242,21 +242,13 @@ class BatchCostModel:
     def _format_code(self, ref: PlanRef) -> int:
         return self._arena.format_code_of_op(self._op_code(ref))
 
-    def _ref_cardinality(self, ref: PlanRef) -> float:
+    def _ref_row(self, ref: PlanRef) -> Tuple[float, Tuple[float, ...], int]:
+        """Cardinality, cost row and table-set bits of a resolved reference."""
         if isinstance(ref, JoinSpec):
-            return ref.cardinality
-        return self._arena.cardinality(ref)
-
-    def _ref_cost(self, ref: PlanRef) -> Tuple[float, ...]:
-        if isinstance(ref, JoinSpec):
-            assert ref.cost is not None
-            return ref.cost
-        return self._arena.cost(ref)
-
-    def _ref_rel(self, ref: PlanRef):
-        if isinstance(ref, JoinSpec):
-            return self._ref_rel(ref.outer) | self._ref_rel(ref.inner)
-        return self._arena.rel(ref)
+            assert ref.cost is not None, "pending child must be costed first"
+            return ref.cardinality, ref.cost, ref.rel_bits
+        arena = self._arena
+        return arena.cardinality(ref), arena.cost(ref), arena.rel_bits(ref)
 
     # --------------------------------------------------------- plan building
     def make_scan(self, table_index: int, op_code: int) -> int:
@@ -319,166 +311,162 @@ class BatchCostModel:
 
     # --------------------------------------------------------- spec costing
     def cost_specs(self, specs: Sequence[JoinSpec]) -> None:
-        """Fill ``cardinality`` and ``cost`` for a list of candidate specs.
+        """Fill ``cardinality``, ``cost`` and ``rel_bits`` for candidate specs.
 
-        Children must already be resolved (handles, or specs costed by an
-        earlier call).  Each spec is first looked up in the candidate memo —
-        climb neighborhoods repeat almost entirely between steps — and only
-        misses are computed (and memoized): scalar for a handful, grouped
-        per operator through the vectorized kernels for larger miss sets.
-        Memo hits, scalar computation, and batch computation all yield the
-        exact same values (``tests/test_arena.py``).
+        Children are handles, specs costed earlier, or *pending* specs (the
+        uncosted intermediates of structural moves).  The list is costed in
+        two dependency rounds: first the pending children — whether listed
+        or not (simulated annealing costs one chosen candidate alone), so no
+        spec ever reads the placeholder cardinality of an uncosted child —
+        then the remaining specs on top of them.  A round is computed on the
+        scalar kernel below :data:`SMALL_SPEC_BATCH` specs and grouped per
+        operator through the vectorized kernels above; both yield exactly
+        the same values (``tests/test_arena.py``).
         """
-        memo = self._spec_memo
-        misses: List[JoinSpec] = []
-        miss_keys: List[object] = []
+        self._cost_rounds(specs)
+
+    def _cost_rounds(self, specs: Sequence[JoinSpec]) -> None:
+        """The body of :meth:`cost_specs`; recurses on pending children."""
+        children: Dict[int, JoinSpec] = {}
         for spec in specs:
-            key = self._spec_key(spec)
-            cached = memo.get(key)
-            if cached is None:
-                misses.append(spec)
-                miss_keys.append(key)
-            else:
-                spec.cardinality, spec.cost = cached
-        if not misses:
-            return
-        if len(misses) < SMALL_SPEC_BATCH:
-            for spec in misses:
-                self._cost_spec_scalar(spec)
-        else:
-            self._cost_specs_batch(misses)
-        for spec, key in zip(misses, miss_keys):
-            memo[key] = (spec.cardinality, spec.cost)  # type: ignore[assignment]
+            outer = spec.outer
+            if type(outer) is not int and outer.cost is None:
+                children[id(outer)] = outer
+            inner = spec.inner
+            if type(inner) is not int and inner.cost is None:
+                children[id(inner)] = inner
+        if children:
+            self._cost_rounds(list(children.values()))
+            specs = [spec for spec in specs if spec.cost is None]
+        self._cost_round(specs)
 
-    def _cost_specs_batch(self, specs: List[JoinSpec]) -> None:
-        """Vectorized costing of memo misses.
-
-        Specs whose children are both handles (the vast majority) are costed
-        in array operations — cardinalities, cost rows and output formats
-        gathered straight from the arena columns, node contributions grouped
-        per operator; the few specs referencing other specs fall back to the
-        scalar kernel.
-        """
-        arena = self._arena
-        direct_positions = [
-            position
-            for position, spec in enumerate(specs)
-            if type(spec.outer) is int and type(spec.inner) is int
-        ]
-        if len(direct_positions) < SMALL_SPEC_BATCH:
+    def _cost_round(self, specs: Sequence[JoinSpec]) -> None:
+        """Cost specs whose children are all resolved."""
+        if len(specs) < SMALL_SPEC_BATCH:
             for spec in specs:
                 self._cost_spec_scalar(spec)
-            return
-        for position, spec in enumerate(specs):
-            if type(spec.outer) is not int or type(spec.inner) is not int:
-                self._cost_spec_scalar(spec)
-        direct = [specs[position] for position in direct_positions]
-        size = len(direct)
-        outer_handles = np.fromiter(
-            (spec.outer for spec in direct), dtype=np.int64, count=size
-        )
-        inner_handles = np.fromiter(
-            (spec.inner for spec in direct), dtype=np.int64, count=size
-        )
-        op_codes = np.fromiter(
-            (spec.op_code for spec in direct), dtype=np.int64, count=size
-        )
-        outer_cards = arena.cardinalities_of(outer_handles)
-        inner_cards = arena.cardinalities_of(inner_handles)
-        selectivity = self._selectivity
-        rel = arena.rel
-        selectivities = np.fromiter(
-            (
-                selectivity(rel(int(outer)), rel(int(inner)))
-                for outer, inner in zip(outer_handles, inner_handles)
-            ),
-            dtype=np.float64,
-            count=size,
-        )
-        products = outer_cards * inner_cards * selectivities
+        else:
+            self._cost_specs_batch(specs)
+
+    def _cost_specs_batch(self, specs: Sequence[JoinSpec]) -> None:
+        """Vectorized costing of specs whose children are resolved.
+
+        One pass reads each child's cardinality, cost row and table-set
+        bits — from its arena row (handle) or from the spec itself (costed
+        spec) — and looks up the selectivity; cardinalities and node costs
+        are then array expressions, the node costs grouped per operator.
+        """
+        cards, costs, bits = self._arena.scalar_columns()
+        selectivity_memo = self._selectivity_memo
+        size = len(specs)
+        # Both children per spec, outer first: one reshape pairs them up.
+        child_cards: List[float] = []
+        child_costs: List[float] = []
+        selectivities: List[float] = []
+        spec_bits: List[int] = []
+        for spec in specs:
+            outer = spec.outer
+            if type(outer) is int:
+                child_cards.append(cards[outer])
+                child_costs += costs[outer]
+                outer_bits = bits[outer]
+            else:
+                child_cards.append(outer.cardinality)
+                child_costs += outer.cost
+                outer_bits = outer.rel_bits
+            inner = spec.inner
+            if type(inner) is int:
+                child_cards.append(cards[inner])
+                child_costs += costs[inner]
+                inner_bits = bits[inner]
+            else:
+                child_cards.append(inner.cardinality)
+                child_costs += inner.cost
+                inner_bits = inner.rel_bits
+            selectivity = selectivity_memo.get((outer_bits, inner_bits))
+            if selectivity is None:
+                selectivity = self._selectivity(outer_bits, inner_bits)
+            selectivities.append(selectivity)
+            spec_bits.append(outer_bits | inner_bits)
+        card_pairs = np.array(child_cards, dtype=np.float64).reshape(size, 2)
+        outer_cards = card_pairs[:, 0]
+        inner_cards = card_pairs[:, 1]
+        products = outer_cards * inner_cards * np.array(selectivities, dtype=np.float64)
         cardinalities = np.where(products > 1.0, products, 1.0)
+        op_codes = np.array([spec.op_code for spec in specs], dtype=np.int64)
         node_costs = self._node_costs_grouped(
-            outer_cards, inner_cards, cardinalities, op_codes
+            outer_cards,
+            inner_cards,
+            cardinalities,
+            {
+                code: np.flatnonzero(op_codes == code)
+                for code in np.unique(op_codes).tolist()
+            },
         )
-        totals = (arena.costs_of(outer_handles) + arena.costs_of(inner_handles)) + (
-            node_costs
-        )
-        card_list = cardinalities.tolist()
-        total_rows = totals.tolist()
-        for offset, spec in enumerate(direct):
-            spec.cardinality = card_list[offset]
-            spec.cost = tuple(total_rows[offset])
+        cost_pairs = np.array(child_costs, dtype=np.float64).reshape(size, 2, -1)
+        totals = (cost_pairs[:, 0] + cost_pairs[:, 1]) + node_costs
+        for spec, cardinality, row, table_bits in zip(
+            specs, cardinalities.tolist(), totals.tolist(), spec_bits
+        ):
+            spec.cardinality = cardinality
+            spec.cost = tuple(row)
+            spec.rel_bits = table_bits
 
-    def _spec_key(self, spec: JoinSpec) -> object:
-        outer = spec.outer
-        inner = spec.inner
-        return (
-            spec.op_code,
-            outer if isinstance(outer, int) else self._spec_key(outer),
-            inner if isinstance(inner, int) else self._spec_key(inner),
-        )
+    def _selectivity(self, outer_bits: int, inner_bits: int) -> float:
+        """Join selectivity between two table sets, memoized by their bitsets.
 
-    def _selectivity(self, outer_rel, inner_rel) -> float:
-        key = (outer_rel, inner_rel)
+        The bits are decoded into table indices only on a miss.
+        """
+        key = (outer_bits, inner_bits)
         selectivity = self._selectivity_memo.get(key)
         if selectivity is None:
-            selectivity = self._query.selectivity_between(outer_rel, inner_rel)
+            selectivity = self._query.selectivity_between(
+                bits_members(outer_bits), bits_members(inner_bits)
+            )
             self._selectivity_memo[key] = selectivity
         return selectivity
 
     def _cost_spec_scalar(self, spec: JoinSpec) -> None:
-        outer_card = self._ref_cardinality(spec.outer)
-        inner_card = self._ref_cardinality(spec.inner)
-        selectivity = self._selectivity(
-            self._ref_rel(spec.outer), self._ref_rel(spec.inner)
-        )
+        outer_card, outer_cost, outer_bits = self._ref_row(spec.outer)
+        inner_card, inner_cost, inner_bits = self._ref_row(spec.inner)
+        selectivity = self._selectivity(outer_bits, inner_bits)
         product = outer_card * inner_card * selectivity
         # The same ``max(1.0, outer * inner * selectivity)`` as the estimator.
         cardinality = product if product > 1.0 else 1.0
         operator = self._arena.operator(spec.op_code)
-        node_cost = tuple(
-            metric.join_cost_cards(
-                outer_card, inner_card, operator, cardinality, self._config
-            )
-            for metric in self._metrics
-        )
-        outer_cost = self._ref_cost(spec.outer)
-        inner_cost = self._ref_cost(spec.inner)
+        config = self._config
         spec.cardinality = cardinality
         spec.cost = tuple(
-            outer_value + inner_value + node_value
-            for outer_value, inner_value, node_value in zip(
-                outer_cost, inner_cost, node_cost
-            )
+            [
+                outer_value
+                + inner_value
+                + metric.join_cost_cards(
+                    outer_card, inner_card, operator, cardinality, config
+                )
+                for outer_value, inner_value, metric in zip(
+                    outer_cost, inner_cost, self._metrics
+                )
+            ]
         )
+        spec.rel_bits = outer_bits | inner_bits
 
     def _node_costs_grouped(
         self,
         outer_cards: np.ndarray,
         inner_cards: np.ndarray,
         output_cards: np.ndarray,
-        op_codes: np.ndarray,
-        groups: Dict[int, np.ndarray] | None = None,
+        groups: Dict[int, np.ndarray],
     ) -> np.ndarray:
         """Per-node join costs for mixed operators, grouped per operator.
 
-        ``groups`` optionally carries precomputed per-operator position
-        arrays (the cross-product kernel derives them arithmetically from
-        its tiling).  Page counts are computed once per operator group and
+        ``groups`` maps each operator code to the positions of its
+        candidates.  Page counts are computed once per operator group and
         shared by every metric (the three paper metrics would otherwise
         each recompute them).
         """
         from repro.cost.metrics import _pages_batch
 
-        node = np.empty((op_codes.shape[0], self.num_metrics), dtype=np.float64)
-        if groups is None:
-            positions_by_op: Dict[int, List[int]] = {}
-            for position, code in enumerate(op_codes.tolist()):
-                positions_by_op.setdefault(code, []).append(position)
-            groups = {
-                code: np.asarray(positions, dtype=np.int64)
-                for code, positions in positions_by_op.items()
-            }
+        node = np.empty((outer_cards.shape[0], self.num_metrics), dtype=np.float64)
         config = self._config
         for code, index in groups.items():
             operator = self._arena.operator(code)
@@ -518,23 +506,24 @@ class BatchCostModel:
         num_inner = len(inner_handles)
         if num_outer == 0 or num_inner == 0:
             return None
-        outer_rel = arena.rel(outer_handles[0])
-        inner_rel = arena.rel(inner_handles[0])
-        for side, rel, handles in (
-            ("outer", outer_rel, outer_handles),
-            ("inner", inner_rel, inner_handles),
+        outer_bits = arena.rel_bits(outer_handles[0])
+        inner_bits = arena.rel_bits(inner_handles[0])
+        for side, bits, handles in (
+            ("outer", outer_bits, outer_handles),
+            ("inner", inner_bits, inner_handles),
         ):
             for handle in handles:
-                if arena.rel(handle) != rel:
+                if arena.rel_bits(handle) != bits:
                     raise ValueError(
                         f"{side} handles must all join the same table set; "
-                        f"got {sorted(arena.rel(handle))} and {sorted(rel)}"
+                        f"got {sorted(arena.rel(handle))} and "
+                        f"{sorted(arena.rel(handles[0]))}"
                     )
         outer_idx = np.asarray(outer_handles, dtype=np.int64)
         inner_idx = np.asarray(inner_handles, dtype=np.int64)
         outer_cards = arena.cardinalities_of(outer_idx)
         inner_cards = arena.cardinalities_of(inner_idx)
-        selectivity = self._selectivity(outer_rel, inner_rel)
+        selectivity = self._selectivity(outer_bits, inner_bits)
         products = outer_cards[:, None] * inner_cards[None, :] * selectivity
         output_cards = np.where(products > 1.0, products, 1.0)
 
@@ -610,7 +599,6 @@ class BatchCostModel:
             description.outer_cards_pc,
             description.inner_cards_pc,
             description.cardinalities,
-            description.op_codes,
             description.groups,
         )
         return self._assemble_batch(description, node_costs)
@@ -647,7 +635,6 @@ class BatchCostModel:
             np.concatenate([d.outer_cards_pc for d in live]),
             np.concatenate([d.inner_cards_pc for d in live]),
             np.concatenate([d.cardinalities for d in live]),
-            np.concatenate([d.op_codes for d in live]),
             {
                 code: np.concatenate(chunks)
                 for code, chunks in merged_groups.items()
@@ -696,15 +683,15 @@ class BatchCostModel:
         self,
         outer_idx: np.ndarray,
         inner_idx: np.ndarray,
-        outer_rel: frozenset,
-        inner_rel: frozenset,
+        outer_bits: int,
+        inner_bits: int,
     ) -> "Optional[_CrossDescription]":
         """:meth:`_describe_cross` minus validation, for pre-validated splits.
 
-        The caller asserts that all outer handles join exactly
-        ``outer_rel`` and all inner handles ``inner_rel`` (DP splits derive
-        both from subset bits, so re-reading per-handle relations would only
-        re-check an invariant the enumeration already guarantees).  Groups
+        The caller asserts that all outer handles join exactly the table
+        set ``outer_bits`` and all inner handles ``inner_bits`` (DP splits
+        are enumerated as subset bits, so re-reading per-handle relations
+        would only re-check an invariant the enumeration guarantees).  Groups
         are left empty — :meth:`join_candidates_level` computes one global
         per-operator index over the whole level instead.
         """
@@ -715,7 +702,7 @@ class BatchCostModel:
             return None
         outer_cards = arena.cardinalities_of(outer_idx)
         inner_cards = arena.cardinalities_of(inner_idx)
-        selectivity = self._selectivity(outer_rel, inner_rel)
+        selectivity = self._selectivity(outer_bits, inner_bits)
         products = outer_cards[:, None] * inner_cards[None, :] * selectivity
         output_cards = np.where(products > 1.0, products, 1.0)
 
@@ -738,14 +725,14 @@ class BatchCostModel:
 
     def join_candidates_level(
         self,
-        splits: Sequence[Tuple[np.ndarray, np.ndarray, frozenset, frozenset]],
+        splits: Sequence[Tuple[np.ndarray, np.ndarray, int, int]],
     ) -> List[CandidateBatch]:
         """Trusted variant of :meth:`join_candidates_multi` for DP shards.
 
-        ``splits`` rows are ``(outer_handles, inner_handles, outer_rel,
-        inner_rel)`` with int64 handle arrays and pre-derived table sets
-        (the shared-memory fabric ships subset bits, so relations come from
-        bit positions rather than per-handle lookups).  Per-operator groups
+        ``splits`` rows are ``(outer_handles, inner_handles, outer_bits,
+        inner_bits)`` with int64 handle arrays and the two sides' table-set
+        bitsets (the shared-memory fabric ships subset bits, so relations
+        never need per-handle lookups).  Per-operator groups
         are computed once over the concatenated level — elementwise kernels
         make the scatter bit-identical to the per-split merged groups of
         ``join_candidates_multi``.
@@ -754,10 +741,10 @@ class BatchCostModel:
             self._describe_cross_trusted(
                 np.asarray(outer_handles, dtype=np.int64),
                 np.asarray(inner_handles, dtype=np.int64),
-                outer_rel,
-                inner_rel,
+                outer_bits,
+                inner_bits,
             )
-            for outer_handles, inner_handles, outer_rel, inner_rel in splits
+            for outer_handles, inner_handles, outer_bits, inner_bits in splits
         ]
         live = [d for d in descriptions if d is not None]
         if not live:
@@ -771,7 +758,6 @@ class BatchCostModel:
             np.concatenate([d.outer_cards_pc for d in live]),
             np.concatenate([d.inner_cards_pc for d in live]),
             np.concatenate([d.cardinalities for d in live]),
-            all_ops,
             groups,
         )
         batches: List[CandidateBatch] = []

@@ -187,14 +187,13 @@ def _reduce_subset_packed(
     """
     splits = []
     for left_bits in lefts:
-        outer_rel = sets[left_bits]
-        inner_rel = sets[bits ^ left_bits]
+        right_bits = bits ^ left_bits
         splits.append(
             (
-                cache.handles_array(outer_rel),
-                cache.handles_array(inner_rel),
-                outer_rel,
-                inner_rel,
+                cache.handles_array(sets[left_bits]),
+                cache.handles_array(sets[right_bits]),
+                left_bits,
+                right_bits,
             )
         )
     batches = batch_model.join_candidates_level(splits)

@@ -58,6 +58,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import socket
 import struct
 import threading
@@ -1506,6 +1507,18 @@ def _remote_renew(transport: RemoteLeaseTransport, lease_id: str):
     return lambda: transport.renew_lease(lease_id)
 
 
+def _default_signal_actions() -> None:
+    """Pool initializer: give SIGTERM and SIGINT their interpreter defaults.
+
+    A forked pool process inherits the handlers a caller installed to stop
+    the worker loops (the ``work`` subcommand does); in the pool process
+    they would only set its own copy of the stop event, so it could no
+    longer be terminated by a signal once its parent is gone.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
 def run_service_worker(
     address: Tuple[str, int],
     workers: int = 1,
@@ -1545,7 +1558,9 @@ def run_service_worker(
     executor: Optional[Executor] = None
     pool: Optional[ProcessPoolExecutor] = None
     if use_processes:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_default_signal_actions
+        )
         executor = pool
     threads = [
         threading.Thread(

@@ -52,14 +52,14 @@ import secrets
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.plan_cache import FrontierSimulator
 from repro.cost.batch import BatchCostModel, CandidateBatch
 from repro.obs import get_tracer, global_metrics
-from repro.plans.arena import PlanArena
+from repro.plans.arena import PlanArena, bits_members
 
 __all__ = [
     "SubsetEffects",
@@ -306,18 +306,6 @@ def _split_positions(size: int, left_size: int) -> np.ndarray:
     return positions
 
 
-def _bits_members(bits: int) -> Tuple[int, ...]:
-    """Set bit positions of a subset bitset, ascending."""
-    members = []
-    table = 0
-    while bits:
-        if bits & 1:
-            members.append(table)
-        bits >>= 1
-        table += 1
-    return tuple(members)
-
-
 def _left_bits_for(subset: Tuple[int, ...]) -> List[int]:
     """Left-side bitsets of a subset's ordered splits, scalar-loop order.
 
@@ -419,7 +407,6 @@ class _WorkerFabricState:
         self._frontiers: Dict[int, Tuple[int, int]] = {}
         self._applied_entries = 0
         self._pool_offset = 0
-        self._rel_memo: Dict[int, FrozenSet[int]] = {}
 
     def _view(self, role: str, shm, capacity: int) -> np.ndarray:  # noqa: ANN001
         if role == "cost":
@@ -480,13 +467,6 @@ class _WorkerFabricState:
             except BufferError:  # pragma: no cover - lingering view export
                 self._graveyard.append(old)
 
-    def _rel(self, bits: int) -> FrozenSet[int]:
-        rel = self._rel_memo.get(bits)
-        if rel is None:
-            rel = frozenset(_bits_members(bits))
-            self._rel_memo[bits] = rel
-        return rel
-
     def _handles(self, bits: int, pool: np.ndarray) -> np.ndarray:
         entry = self._frontiers.get(bits)
         if entry is None:
@@ -496,7 +476,7 @@ class _WorkerFabricState:
 
     def reduce_subset(self, bits: int, level_alpha: float) -> SubsetEffects:
         """Reduce one subset over the attached views; pure and zero-copy."""
-        lefts = _left_bits_for(_bits_members(bits))
+        lefts = _left_bits_for(bits_members(bits))
         pool = self._views["fh"]
         splits = []
         for left_bits in lefts:
@@ -505,8 +485,8 @@ class _WorkerFabricState:
                 (
                     self._handles(left_bits, pool),
                     self._handles(right_bits, pool),
-                    self._rel(left_bits),
-                    self._rel(right_bits),
+                    left_bits,
+                    right_bits,
                 )
             )
         batches = self._model.join_candidates_level(splits)

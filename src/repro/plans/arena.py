@@ -51,6 +51,7 @@ from repro.query.query import Query
 __all__ = [
     "ArenaColumnSnapshot",
     "PlanArena",
+    "bits_members",
     "resolve_plan_engine",
     "PLAN_ENGINES",
 ]
@@ -59,6 +60,16 @@ __all__ = [
 PLAN_ENGINES = ("arena", "object")
 
 _INITIAL_CAPACITY = 64
+
+
+def bits_members(bits: int) -> Tuple[int, ...]:
+    """Table indices of a table-set bitset (bit t ⇔ table t), ascending."""
+    members = []
+    while bits:
+        lowest = bits & -bits
+        members.append(lowest.bit_length() - 1)
+        bits ^= lowest
+    return tuple(members)
 
 
 def resolve_plan_engine(engine: str | None) -> str:
@@ -263,6 +274,17 @@ class PlanArena:
         as read-only.
         """
         return self._op_list
+
+    def scalar_columns(
+        self,
+    ) -> Tuple[List[float], List[Tuple[float, ...]], List[int]]:
+        """Per-node cardinalities, cost tuples and rel bitsets as plain lists.
+
+        The read-only side-cars behind :meth:`cardinality`, :meth:`cost`
+        and :meth:`rel_bits`, for gathers that bind them once per batch
+        (see :attr:`op_code_list`).
+        """
+        return self._card_list, self._cost_tuples, self._rel_bits
 
     @property
     def format_code_by_op(self) -> List[int]:

@@ -170,13 +170,13 @@ class ArenaTransformationRules:
     Mirrors :class:`TransformationRules` transformation for transformation —
     same rules, same enumeration order — but produces *uncosted*
     :class:`~repro.cost.batch.JoinSpec` candidates instead of costed
-    ``Plan`` objects.  Callers collect the specs a node's whole neighborhood
-    needs and cost them in one batched
-    :meth:`~repro.cost.batch.BatchCostModel.cost_specs` call; only selected
-    candidates are ever realized into arena nodes.  (Structural rebuilds —
-    the intermediates of associativity/exchange moves — are realized
-    eagerly through the hash-consing ``make_join``, so every candidate has
-    handle children.)
+    ``Plan`` objects.  Structural rebuilds — the intermediates of
+    associativity/exchange moves — are pending specs too, so a candidate
+    may have a spec child.  Callers collect the specs of many neighborhoods
+    and cost them in one batched
+    :meth:`~repro.cost.batch.BatchCostModel.cost_specs` call (intermediates
+    first); only selected candidates, and the intermediates they use, are
+    ever realized into arena nodes.
 
     Parameters mirror :class:`TransformationRules`; pass an existing rules
     object to copy its ablation flags.
@@ -228,17 +228,30 @@ class ArenaTransformationRules:
         inner: int,
         preferred_code: int,
     ) -> int:
-        """Rebuild ``outer ⋈ inner`` preferring ``preferred_code``.
+        """Build ``outer ⋈ inner`` into the arena, preferring ``preferred_code``.
 
-        Structural rebuilds (the intermediate nodes of associativity and
-        exchange moves) are realized eagerly — they are hash-consed and
-        memoized, and recur across climb steps — so that every emitted
-        candidate has handle children and the whole neighborhood batches
-        through one vectorized costing call.
+        The eager twin of :meth:`describe_join`, for callers that need a
+        handle at once (simulated annealing's spine rebuild).
         """
-        applicable = self._model.join_codes_for(inner)
-        code = preferred_code if preferred_code in applicable else applicable[0]
-        return self._model.make_join(outer, inner, code)
+        return self._model.make_join(outer, inner, self._rebuild_code(inner, preferred_code))
+
+    def describe_join(
+        self,
+        outer: "PlanRef",
+        inner: "PlanRef",
+        preferred_code: int,
+        pending: "List[JoinSpec]",
+    ) -> "JoinSpec":
+        """Describe ``outer ⋈ inner`` as a pending spec appended to ``pending``.
+
+        Uses ``preferred_code`` if applicable, else the library's first
+        applicable operator — the same choice as :meth:`rebuild_join`.
+        """
+        from repro.cost.batch import JoinSpec
+
+        spec = JoinSpec(outer, inner, self._rebuild_code(inner, preferred_code))
+        pending.append(spec)
+        return spec
 
     # ------------------------------------------------------------ internals
     def _scan_mutations(self, ref: "PlanRef") -> "List[PlanRef]":
@@ -283,12 +296,12 @@ class ArenaTransformationRules:
             outer_code = self.op_code_of(outer)
             if self.enable_associativity:
                 # (A ⋈ B) ⋈ C  →  A ⋈ (B ⋈ C)
-                new_inner = self.rebuild_join(b, inner, outer_code)
+                new_inner = self.describe_join(b, inner, outer_code, pending)
                 for code in self._root_codes(new_inner, root_code):
                     emit(a, new_inner, code)
             if self.enable_exchange:
                 # (A ⋈ B) ⋈ C  →  (A ⋈ C) ⋈ B
-                new_outer = self.rebuild_join(a, inner, outer_code)
+                new_outer = self.describe_join(a, inner, outer_code, pending)
                 for code in self._root_codes(b, root_code):
                     emit(new_outer, b, code)
 
@@ -298,16 +311,21 @@ class ArenaTransformationRules:
             inner_code = self.op_code_of(inner)
             if self.enable_associativity:
                 # A ⋈ (B ⋈ C)  →  (A ⋈ B) ⋈ C
-                new_outer = self.rebuild_join(outer, b, inner_code)
+                new_outer = self.describe_join(outer, b, inner_code, pending)
                 for code in self._root_codes(c, root_code):
                     emit(new_outer, c, code)
             if self.enable_exchange:
                 # A ⋈ (B ⋈ C)  →  B ⋈ (A ⋈ C)
-                new_inner = self.rebuild_join(outer, c, inner_code)
+                new_inner = self.describe_join(outer, c, inner_code, pending)
                 for code in self._root_codes(new_inner, root_code):
                     emit(b, new_inner, code)
 
         return results
+
+    def _rebuild_code(self, inner: "PlanRef", preferred_code: int) -> int:
+        """``preferred_code`` if applicable on ``inner``, else the first applicable."""
+        applicable = self._model.join_codes_for(inner)
+        return preferred_code if preferred_code in applicable else applicable[0]
 
     def _root_codes(self, inner: "PlanRef", preferred_code: int) -> List[int]:
         """Root operator codes for a structural mutation (see object twin)."""

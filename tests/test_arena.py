@@ -19,7 +19,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.baselines.iterative_improvement import IterativeImprovementOptimizer
@@ -29,12 +29,13 @@ from repro.baselines.simulated_annealing import SimulatedAnnealingOptimizer
 from repro.baselines.two_phase import TwoPhaseOptimizer
 from repro.core.frontier import AlphaSchedule
 from repro.core.rmq import RMQOptimizer
-from repro.cost.batch import BatchCostModel
+from repro.core.random_plans import ArenaRandomPlanGenerator
+from repro.cost.batch import SMALL_SPEC_BATCH, BatchCostModel, JoinSpec
 from repro.cost.metrics import CostModelConfig, metric_by_name
 from repro.cost.model import MultiObjectiveCostModel
 from repro.plans.arena import PLAN_ENGINES, resolve_plan_engine
 from repro.plans.operators import OperatorLibrary
-from repro.plans.transformations import TransformationRules
+from repro.plans.transformations import ArenaTransformationRules, TransformationRules
 from repro.plans.validation import validate_plan
 from repro.query.generator import QueryGenerator
 from repro.query.join_graph import GraphShape
@@ -155,8 +156,6 @@ class TestCrossProductEquivalence:
         # Random partial plans over two disjoint table sets, several per side
         # (duplicates included: the same sub-plan twice is a legal frontier
         # input for costing purposes).
-        from repro.core.random_plans import ArenaRandomPlanGenerator
-
         generator = ArenaRandomPlanGenerator(batch_model, rng)
         plans = [generator.random_bushy_plan() for _ in range(4)]
         arena = batch_model.arena
@@ -195,6 +194,139 @@ class TestCrossProductEquivalence:
         assert position == batch.size
 
 
+def _tree_nodes(arena, handle):
+    """Every node of a handle's plan tree, root first."""
+    nodes = [handle]
+    for node in nodes:
+        if arena.is_join(node):
+            nodes.extend((arena.outer(node), arena.inner(node)))
+    return nodes
+
+
+def _neighbourhoods(batch_model, handle, max_nodes=None):
+    """The climb neighbourhoods of a plan's join nodes as one pending list."""
+    arena = batch_model.arena
+    rules = ArenaTransformationRules(batch_model)
+    joins = [node for node in _tree_nodes(arena, handle) if arena.is_join(node)]
+    pending = []
+    for node in joins[:max_nodes]:
+        rules.mutations(node, pending)
+    return pending
+
+
+def _scalar_costed(model, arena, ref):
+    """``ref`` as a Plan costed by the object model, children first."""
+    if isinstance(ref, int):
+        return arena.to_plan(ref)
+    return model.make_join(
+        _scalar_costed(model, arena, ref.outer),
+        _scalar_costed(model, arena, ref.inner),
+        arena.operator(ref.op_code),
+    )
+
+
+class TestCostSpecs:
+    """One cost_specs call == the scalar kernel one spec at a time.
+
+    Neighbourhoods come straight from the climb's transformation rules, so
+    the lists mix handle children with pending intermediates, and the
+    vectorized rounds (at least SMALL_SPEC_BATCH specs) as well as the
+    scalar ones are checked against the object cost model.
+    """
+
+    @staticmethod
+    def _model_and_plan(seed, num_tables, metrics, shape=GraphShape.CHAIN):
+        model = _random_model(seed, num_tables=num_tables, metrics=metrics, shape=shape)
+        batch_model = BatchCostModel(model)
+        handle = ArenaRandomPlanGenerator(
+            batch_model, random.Random(seed)
+        ).random_bushy_plan()
+        return model, batch_model, handle
+
+    @staticmethod
+    def _expected(model, arena, specs):
+        try:
+            plans = [_scalar_costed(model, arena, spec) for spec in specs]
+        except OverflowError:
+            # The scalar external-sort term rejects infinite page counts.
+            reject()
+        return [(plan.cardinality, plan.cost) for plan in plans]
+
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=5, max_value=30),
+        st.integers(min_value=1, max_value=30),
+        st.sampled_from([("time", "buffer", "disk"), ("time",), ALL_METRICS]),
+        st.sampled_from([GraphShape.CHAIN, GraphShape.CYCLE, GraphShape.STAR]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_call_matches_scalar_children_first(
+        self, seed, num_tables, max_nodes, metrics, shape
+    ):
+        model, batch_model, handle = self._model_and_plan(
+            seed, num_tables, metrics, shape
+        )
+        specs = _neighbourhoods(batch_model, handle, max_nodes)
+        expected = self._expected(model, batch_model.arena, specs)
+        batch_model.cost_specs(specs)
+        assert [(spec.cardinality, spec.cost) for spec in specs] == expected
+
+    @pytest.mark.parametrize(
+        "size", [1, SMALL_SPEC_BATCH - 1, SMALL_SPEC_BATCH, 4 * SMALL_SPEC_BATCH]
+    )
+    def test_list_sizes_around_batch_threshold(self, size, monkeypatch):
+        # Only specs over two handles: no intermediates round, so the one
+        # round holds exactly ``size`` specs.
+        model, batch_model, handle = self._model_and_plan(4, 30, ("time", "buffer", "disk"))
+        specs = [
+            spec
+            for spec in _neighbourhoods(batch_model, handle)
+            if isinstance(spec.outer, int) and isinstance(spec.inner, int)
+        ][:size]
+        assert len(specs) == size
+        expected = self._expected(model, batch_model.arena, specs)
+        vectorized = []
+        batch_kernel = BatchCostModel._cost_specs_batch
+
+        def spy(self, round_specs):
+            vectorized.append(len(round_specs))
+            return batch_kernel(self, round_specs)
+
+        monkeypatch.setattr(BatchCostModel, "_cost_specs_batch", spy)
+        batch_model.cost_specs(specs)
+        assert vectorized == ([size] if size >= SMALL_SPEC_BATCH else [])
+        assert [(spec.cardinality, spec.cost) for spec in specs] == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lone_spec_on_uncosted_intermediate(self, seed):
+        # Simulated annealing costs one chosen candidate alone; its pending
+        # intermediate child is costed first, never read as a placeholder.
+        model, batch_model, handle = self._model_and_plan(seed, 12, ("time", "buffer", "disk"))
+        specs = _neighbourhoods(batch_model, handle)
+        stacked = [
+            spec
+            for spec in specs
+            if isinstance(spec.outer, JoinSpec) or isinstance(spec.inner, JoinSpec)
+        ]
+        uncosted_children = 0
+        for spec in stacked:
+            uncosted_children += any(
+                isinstance(child, JoinSpec) and child.cost is None
+                for child in (spec.outer, spec.inner)
+            )
+            (expected,) = self._expected(model, batch_model.arena, [spec])
+            batch_model.cost_specs([spec])
+            assert (spec.cardinality, spec.cost) == expected
+            for child in (spec.outer, spec.inner):
+                if isinstance(child, JoinSpec):
+                    (child_expected,) = self._expected(model, batch_model.arena, [child])
+                    assert (child.cardinality, child.cost) == child_expected
+                    assert child.rel_bits == batch_model.arena.rel_bits(
+                        batch_model.realize(child)
+                    )
+        assert uncosted_children > 0
+
+
 ENGINE_CASES = [
     dict(),
     dict(metrics=("time",)),
@@ -206,6 +338,7 @@ ENGINE_CASES = [
     dict(num_tables=2),
     dict(shape=GraphShape.STAR),
     dict(shape=GraphShape.CYCLE),
+    dict(num_tables=30),
 ]
 
 

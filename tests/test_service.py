@@ -10,14 +10,20 @@ heartbeat renewal keeps slow-but-healthy leases from being reclaimed.
 """
 
 import contextlib
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.bench.runner import reduce_task_results
 from repro.bench.scenario import ScenarioScale, ScenarioSpec
 from repro.bench.tasks import _execute_task_group, schedule_tasks
@@ -622,3 +628,100 @@ class TestCoordinatorDeferredAndRenew:
         assert coordinator.reclaim_expired() == 1
         assert coordinator.renew_lease(lease.lease_id) is False
         assert coordinator.stats["renewals"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The ``work`` subcommand as a process
+# ---------------------------------------------------------------------------
+def _child_pids(parent: int) -> list:
+    """PIDs whose parent is ``parent`` (read from /proc)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == parent:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_gone(pids, timeout: float) -> list:
+    """The PIDs of ``pids`` still running after up to ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    alive = [pid for pid in pids if _running(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _running(pid)]
+    return alive
+
+
+@contextlib.contextmanager
+def _work_process(spec):
+    """A ``work --attach --workers 2`` process whose pool has run one job.
+
+    Yields ``(process, pool_pids)``; the process and any pool process still
+    running are killed on exit.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    pool = []
+    with service() as handle:
+        host, port = handle.address
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.bench.cli", "work",
+             "--attach", f"{host}:{port}", "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            with ServiceClient(handle.address) as client:
+                job = client.submit(spec)["job"]
+                client.wait(job, timeout=120.0)
+            pool = _child_pids(worker.pid)
+            assert pool, "the job should have forked the worker pool"
+            yield worker, pool
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+            for pid in pool:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            # Only now: pool processes hold the output pipes open too.
+            worker.communicate()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads PIDs from /proc")
+class TestWorkSubcommandSignals:
+    def test_sigterm_exits_cleanly_and_stops_pool_processes(self, step_spec):
+        with _work_process(step_spec) as (worker, pool):
+            worker.send_signal(signal.SIGTERM)
+            _, stderr = worker.communicate(timeout=60.0)
+            assert worker.returncode == 0, stderr.decode(errors="replace")
+            assert _wait_gone(pool, timeout=10.0) == []
+
+    def test_pool_processes_end_on_sigterm_after_parent_is_killed(self, step_spec):
+        # The pool must not inherit the parent's stop-on-signal handlers: an
+        # orphaned pool process (parent SIGKILLed, e.g. by the OOM killer)
+        # has to end on a plain SIGTERM.
+        with _work_process(step_spec) as (worker, pool):
+            worker.kill()
+            worker.wait(timeout=60.0)
+            for pid in pool:
+                if _running(pid):
+                    os.kill(pid, signal.SIGTERM)
+            assert _wait_gone(pool, timeout=10.0) == []
