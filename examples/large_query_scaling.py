@@ -17,7 +17,7 @@ the dominance queries faster once frontiers get large.
 Finally it runs the **vectorized DP reference** (``ArenaDPOptimizer``, see
 ``docs/ARCHITECTURE.md``) to completion at table counts where the
 object-engine DP was effectively unreachable: the arena engine pushes
-millions of candidate plans through whole-level batch kernels, so coarse
+millions of candidate plans through per-subset batch kernels, so coarse
 DP(α) guarantees become available as references for mid-size queries
 instead of stopping at figure-grid sizes.
 

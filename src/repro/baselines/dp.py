@@ -18,15 +18,18 @@ Two engines implement the scheme:
   as the property-tested scalar reference;
 * :class:`ArenaDPOptimizer` — the columnar engine: subsets are int bitsets,
   the (left, right) splits of a subset are enumerated as NumPy index
-  arrays, and each split's candidate joins (cross product of the two cached
-  sub-frontiers × applicable operators) are costed and pruned through
-  :meth:`~repro.cost.batch.BatchCostModel.join_candidates_multi` /
-  :meth:`~repro.core.plan_cache.ArenaPlanCache.insert_candidates` in whole
-  array passes.  Frontiers, statistics, and step boundaries are
-  bit-identical to the object engine (``tests/test_dp_arena.py``).  A
-  ``backend="coordinator"`` path additionally shards each subset level
-  across lease-based workers (see :mod:`repro.dist.dp`), still bit-identical
-  — including under injected worker death and warm/cold task caches.
+  arrays, and one reduction pipeline (:func:`reduce_subset`) costs all of a
+  subset's candidate joins (cross products of the cached sub-frontiers ×
+  applicable operators) in one
+  :meth:`~repro.cost.batch.BatchCostModel.join_candidates_multi` call,
+  decides them through the plan cache's insertion kernel on a
+  :class:`~repro.core.plan_cache.FrontierSimulator`, and packs the accepted
+  rows as :class:`SubsetEffects`, which ``step()`` replays.  Frontiers,
+  statistics, and step boundaries are bit-identical to the object engine
+  (``tests/test_dp_arena.py``).  The ``backend="coordinator"`` path runs
+  the same reducer for a whole subset level across lease-based workers (see
+  :mod:`repro.dist.dp`), still bit-identical — including under injected
+  worker death and warm/cold task caches.
 
 :func:`make_dp_optimizer` picks the engine through the library-wide
 ``engine=`` / ``REPRO_PLAN_ENGINE`` convention (arena by default).
@@ -40,6 +43,7 @@ result for larger queries within the time budget.
 
 from __future__ import annotations
 
+import json
 import weakref
 from itertools import combinations
 from typing import (
@@ -57,8 +61,13 @@ from typing import (
 import numpy as np
 
 from repro.core.interface import AnytimeOptimizer
-from repro.core.plan_cache import ArenaPlanCache, PlanCache
-from repro.cost.batch import BatchCostModel
+from repro.core.plan_cache import (
+    ArenaPlanCache,
+    FrontierSimulator,
+    PlanCache,
+    record_insertions,
+)
+from repro.cost.batch import BatchCostModel, CandidateBatch
 from repro.cost.model import MultiObjectiveCostModel
 from repro.obs import get_tracer, global_metrics
 from repro.plans.arena import resolve_plan_engine
@@ -76,8 +85,9 @@ _ALPHA_CAP = 1e12
 #: Execution backends of the arena DP engine.
 DP_BACKENDS = ("sequential", "coordinator")
 
-#: Beyond this many tables the NumPy int64 split enumeration would overflow
-#: (bit 63 is the sign bit); larger queries fall back to Python-int bitsets.
+#: Subsets holding a table index at or above this enumerate their splits
+#: with Python-int bitsets instead of NumPy int64 ones (bit 63 is the sign
+#: bit).
 _MAX_NUMPY_BITS = 62
 
 
@@ -235,16 +245,290 @@ class DPOptimizer(AnytimeOptimizer):
         return _format_alpha(alpha)
 
 
+# ---------------------------------------------------------------------------
+# Subset reduction: one pipeline for every backend
+# ---------------------------------------------------------------------------
+# A subset's reduction costs all of its splits in one cross-product kernel
+# call, decides them through the cache's insertion kernel on a private
+# FrontierSimulator, and packs the accepted rows; the optimizer then replays
+# them chunk by chunk.  The sequential backend reduces in process, the
+# coordinator backend on worker threads or fabric processes
+# (repro.dist.dp, repro.dist.shm) — only the source of the frontier handles
+# differs.
+
+_SPLIT_POSITIONS: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _subset_bits(subset: Sequence[int]) -> int:
+    bits = 0
+    for t in subset:
+        bits |= 1 << t
+    return bits
+
+
+def _split_positions(size: int, left_size: int) -> np.ndarray:
+    """Combination-position matrix of ``combinations(range(size), left_size)``."""
+    key = (size, left_size)
+    positions = _SPLIT_POSITIONS.get(key)
+    if positions is None:
+        positions = np.fromiter(
+            (
+                position
+                for combination in combinations(range(size), left_size)
+                for position in combination
+            ),
+            dtype=np.int64,
+        ).reshape(-1, left_size)
+        positions = _SPLIT_POSITIONS.setdefault(key, positions)
+    return positions
+
+
+def left_bits_of(subset: Sequence[int]) -> List[int]:
+    """Left-side bitsets of all ordered splits of a subset, in scalar-loop order.
+
+    The object engine enumerates ``for left_size: for left in
+    combinations(subset, left_size)``; gathering the subset's member bits
+    through the cached position matrix of ``(size, left_size)`` reproduces
+    exactly that order (``subset`` is ascending, and each row's bits are
+    distinct, so the row sum equals the bit OR).  Subsets reaching past
+    table 61 use Python-int bitsets, where int64 would overflow.  The split
+    index a replay reads is the position in this list, on every backend.
+    """
+    size = len(subset)
+    if size < 2:
+        return []
+    if subset[-1] < _MAX_NUMPY_BITS:
+        member_bits = np.array([1 << t for t in subset], dtype=np.int64)
+        parts = [
+            member_bits[_split_positions(size, left_size)].sum(axis=1)
+            for left_size in range(1, size)
+        ]
+        return np.concatenate(parts).tolist()
+    return [
+        _subset_bits(left)
+        for left_size in range(1, size)
+        for left in combinations(subset, left_size)
+    ]
+
+
+#: Format tag of the packed-bytes encoding of :class:`SubsetEffects`.
+EFFECTS_BYTES_FORMAT = "repro-dp-effects-v1"
+
+_ACCEPTED_DTYPES: Dict[int, np.dtype] = {}
+
+
+def accepted_dtype(num_metrics: int) -> np.dtype:
+    """Record dtype of one accepted candidate row.
+
+    Explicitly little-endian and unpadded, so the raw bytes are a stable
+    on-disk / cross-process format: ``split`` (index of the split within
+    its subset), ``outer`` / ``inner`` (frontier positions), ``op``
+    (operator code), ``card`` (output cardinality), ``cost``
+    (``num_metrics`` float64 values, NaN/±inf exact).
+    """
+    dtype = _ACCEPTED_DTYPES.get(num_metrics)
+    if dtype is None:
+        dtype = np.dtype(
+            [
+                ("split", "<i4"),
+                ("outer", "<i4"),
+                ("inner", "<i4"),
+                ("op", "<i4"),
+                ("card", "<f8"),
+                ("cost", "<f8", (num_metrics,)),
+            ]
+        )
+        _ACCEPTED_DTYPES[num_metrics] = dtype
+    return dtype
+
+
+class SubsetEffects:
+    """One subset's recorded DP decisions as packed arrays.
+
+    ``counts[s]`` is split ``s``'s candidate count; ``rows`` holds every
+    accepted candidate (including ones evicted later within the same
+    subset — replay needs them) in acceptance order, split-major, as
+    :func:`accepted_dtype` records.  This is what every reducer returns,
+    the wire format between fabric workers and the driver, and — via
+    :meth:`to_bytes` / :meth:`from_bytes` — the binary ``TaskCache``
+    payload.
+    """
+
+    __slots__ = ("counts", "rows", "_offsets")
+
+    def __init__(self, counts: np.ndarray, rows: np.ndarray) -> None:
+        self.counts = counts
+        self.rows = rows
+        self._offsets: Optional[np.ndarray] = None
+
+    @property
+    def num_splits(self) -> int:
+        """Number of splits recorded for the subset."""
+        return int(self.counts.shape[0])
+
+    def split(self, index: int) -> Tuple[int, np.ndarray]:
+        """``(candidate count, accepted records)`` of one split."""
+        if self._offsets is None:
+            per_split = np.bincount(
+                self.rows["split"], minlength=self.counts.shape[0]
+            )
+            self._offsets = np.concatenate(
+                [np.zeros(1, dtype=np.int64), np.cumsum(per_split, dtype=np.int64)]
+            )
+        start = int(self._offsets[index])
+        stop = int(self._offsets[index + 1])
+        return int(self.counts[index]), self.rows[start:stop]
+
+    def to_bytes(self) -> bytes:
+        """Pack into one byte string: JSON header line + raw array bytes.
+
+        Float64 values round-trip exactly — NaN and ±inf included — because
+        they are stored as raw IEEE-754 bytes, not decimal text.
+        """
+        num_metrics = int(self.rows.dtype["cost"].shape[0])
+        header = json.dumps(
+            {
+                "format": EFFECTS_BYTES_FORMAT,
+                "num_metrics": num_metrics,
+                "splits": int(self.counts.shape[0]),
+                "accepted": int(self.rows.shape[0]),
+            },
+            sort_keys=True,
+        ).encode("ascii")
+        return (
+            header
+            + b"\n"
+            + np.ascontiguousarray(self.counts, dtype="<i8").tobytes()
+            + np.ascontiguousarray(self.rows).tobytes()
+        )
+
+    @classmethod
+    def from_bytes(cls, data: bytes, num_metrics: int) -> "SubsetEffects":
+        """Decode :meth:`to_bytes` output; raises ``ValueError`` on foreign
+        or truncated payloads (callers treat that as a cache miss)."""
+        newline = data.find(b"\n")
+        if newline < 0:
+            raise ValueError("missing effects header")
+        try:
+            header = json.loads(data[:newline])
+        except json.JSONDecodeError as exc:
+            raise ValueError("corrupt effects header") from exc
+        if (
+            header.get("format") != EFFECTS_BYTES_FORMAT
+            or header.get("num_metrics") != num_metrics
+        ):
+            raise ValueError("foreign effects payload")
+        splits = int(header["splits"])
+        accepted = int(header["accepted"])
+        dtype = accepted_dtype(num_metrics)
+        body = newline + 1
+        expected = body + 8 * splits + dtype.itemsize * accepted
+        if len(data) != expected:
+            raise ValueError("truncated effects payload")
+        counts = np.frombuffer(data, dtype="<i8", count=splits, offset=body)
+        rows = np.frombuffer(
+            data, dtype=dtype, count=accepted, offset=body + 8 * splits
+        )
+        return cls(counts, rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"SubsetEffects(splits={self.num_splits}, "
+            f"accepted={int(self.rows.shape[0])})"
+        )
+
+
+def pack_batches(
+    batches: Sequence[CandidateBatch], num_metrics: int, level_alpha: float
+) -> SubsetEffects:
+    """Simulate one subset's frontier over its costed batches; pack results.
+
+    Each batch runs through a private :class:`FrontierSimulator` — the
+    cache's own insertion kernel — and the accepted positions are gathered
+    into :func:`accepted_dtype` records.
+    """
+    simulator = FrontierSimulator(num_metrics)
+    dtype = accepted_dtype(num_metrics)
+    counts = np.empty(len(batches), dtype="<i8")
+    chunks: List[np.ndarray] = []
+    base = 0
+    for index, batch in enumerate(batches):
+        positions = simulator.insert_batch(batch, level_alpha, base=base)
+        base += batch.size
+        counts[index] = batch.size
+        if positions:
+            gather = np.asarray(positions, dtype=np.int64)
+            records = np.empty(gather.shape[0], dtype=dtype)
+            records["split"] = index
+            records["outer"] = batch.outer_pos[gather]
+            records["inner"] = batch.inner_pos[gather]
+            records["op"] = batch.op_codes[gather]
+            records["card"] = batch.cardinalities[gather]
+            records["cost"] = batch.costs[gather]
+            chunks.append(records)
+    rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
+    return SubsetEffects(counts, rows)
+
+
+def reduce_subset(
+    batch_model: BatchCostModel,
+    handles_of: Callable[[int], np.ndarray],
+    bits: int,
+    lefts: Sequence[int],
+    level_alpha: float,
+) -> SubsetEffects:
+    """Reduce one subset: cost all splits, simulate pruning, pack decisions.
+
+    ``handles_of(table_bits)`` returns the final frontier handles of a
+    strictly smaller subset; ``lefts`` are the subset's split left sides
+    (:func:`left_bits_of`).  Nothing shared is written, so the reduction
+    can run on any thread or process that can read the frontiers.
+    """
+    splits = []
+    for left_bits in lefts:
+        right_bits = bits ^ left_bits
+        splits.append(
+            (handles_of(left_bits), handles_of(right_bits), left_bits, right_bits)
+        )
+    batches = batch_model.join_candidates_multi(splits)
+    return pack_batches(batches, batch_model.num_metrics, level_alpha)
+
+
+def _check_backend_arguments(
+    backend: str, workers: int, task_cache: object, on_lease: object
+) -> None:
+    """Reject coordinator-only arguments the sequential backend would ignore."""
+    if backend != "sequential":
+        return
+    for name, given in (
+        ("workers", workers != 1),
+        ("task_cache", task_cache is not None),
+        ("on_lease", on_lease is not None),
+    ):
+        if given:
+            raise ValueError(
+                f"{name} applies only to backend='coordinator'; "
+                "the sequential backend reduces every subset in process"
+            )
+
+
 class _SubsetCursor:
-    """Enumeration state of one partially processed subset."""
+    """Replay state of one partially processed subset."""
 
-    __slots__ = ("bits", "rel", "lefts", "index")
+    __slots__ = ("bits", "rel", "lefts", "effects", "index")
 
-    def __init__(self, bits: int, rel: FrozenSet[int], lefts: List[int]) -> None:
+    def __init__(
+        self, bits: int, rel: FrozenSet[int], lefts: List[int], effects: SubsetEffects
+    ) -> None:
         self.bits = bits
         self.rel = rel
         self.lefts = lefts
+        self.effects = effects
         self.index = 0
+
+
+#: One run of a chunk: a subset's cursor, its first split, the split count.
+_ChunkRun = Tuple[_SubsetCursor, int, int]
 
 
 class ArenaDPOptimizer(AnytimeOptimizer):
@@ -252,12 +536,13 @@ class ArenaDPOptimizer(AnytimeOptimizer):
 
     Subsets are int bitsets (bit ``t`` ⇔ table ``t``); within a subset, the
     left sides of all ordered splits are computed as one NumPy gather over
-    cached combination-position matrices, and each split's candidate joins
-    are costed through the whole-level batch kernels of
-    :class:`~repro.cost.batch.BatchCostModel` and pruned through
-    :class:`~repro.core.plan_cache.ArenaPlanCache` at ``level_alpha`` —
-    decision-identical to the object engine's per-candidate loop, at a
-    fraction of the per-candidate cost.
+    cached combination-position matrices (:func:`left_bits_of`).  Each
+    subset is reduced once (:func:`reduce_subset`): all of its splits are
+    costed in one :meth:`~repro.cost.batch.BatchCostModel.join_candidates_multi`
+    call and decided through the cache's insertion kernel at
+    ``level_alpha``.  ``step()`` then replays the recorded decisions split
+    by split — decision-identical to the object engine's per-candidate
+    loop, at a fraction of the per-candidate cost.
 
     Parameters
     ----------
@@ -265,11 +550,12 @@ class ArenaDPOptimizer(AnytimeOptimizer):
         As for :class:`DPOptimizer`; ``step()`` boundaries, statistics, and
         frontiers are bit-identical between the two.
     backend:
-        ``"sequential"`` (default) computes each level in process;
-        ``"coordinator"`` shards the subsets of each level as pure leaf
-        tasks across lease-based workers (:mod:`repro.dist.dp`) and replays
-        the recorded per-split decisions in canonical order, so results do
-        not depend on the worker count or on worker failures.
+        ``"sequential"`` (default) reduces each subset in process when a
+        step first enters it; ``"coordinator"`` reduces a whole level's
+        subsets as pure leaf tasks across lease-based workers
+        (:mod:`repro.dist.dp`) when the level is entered.  Both replay the
+        same decisions in canonical order, so results do not depend on the
+        backend, the worker count or worker failures.
     workers:
         Worker threads of the coordinator backend.
     task_cache:
@@ -281,6 +567,9 @@ class ArenaDPOptimizer(AnytimeOptimizer):
     on_lease:
         Optional hook called with every granted lease before execution —
         the fault-injection seam used by the tests.
+
+    ``workers``, ``task_cache`` and ``on_lease`` are rejected under the
+    sequential backend, which has no use for them.
     """
 
     def __init__(
@@ -302,6 +591,7 @@ class ArenaDPOptimizer(AnytimeOptimizer):
             )
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        _check_backend_arguments(backend, workers, task_cache, on_lease)
         self.name = f"DP({_format_alpha(alpha)})"
         self._alpha = min(alpha, _ALPHA_CAP)
         self._tasks_per_step = tasks_per_step
@@ -316,24 +606,21 @@ class ArenaDPOptimizer(AnytimeOptimizer):
         self._finished = False
         self._tables: List[int] = sorted(self.query.relations)
         self._num_tables = len(self._tables)
-        # bits -> frozenset memo; every subset registers itself when its
-        # level loads it, so split lookups are dictionary reads.
+        # bits -> frozenset memo; every subset registers itself when a step
+        # enters it, so split lookups are dictionary reads.
         self._sets: Dict[int, FrozenSet[int]] = {}
-        # (subset size, left size) -> combination-position matrix.
-        self._split_positions_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._seed_scans()
         self._level = 1
         self._level_iter: Iterator[Tuple[int, ...]] = iter(())
         self._current: Optional[_SubsetCursor] = None
-        # Coordinator state: current level's packed per-subset decisions
-        # (bits -> SubsetEffects) and split lists.
-        self._level_effects: Optional[Dict[int, object]] = None
-        self._level_splits: Optional[Dict[int, List[int]]] = None
+        # Coordinator backend: the current level's packed effects (bits ->
+        # SubsetEffects), each popped when a step enters its subset.
+        self._level_effects: Dict[int, SubsetEffects] = {}
         # The shared-memory task fabric (coordinator backend only): a
         # persistent worker-process pool plus published arena/frontier
-        # segments.  ``create`` declines (None) on unsupported setups —
-        # forced ``REPRO_DP_FABRIC=threads``, > 62 tables, no fork — and
-        # the level computation then runs on in-process threads instead,
+        # segments.  ``create`` declines (None) where it cannot run —
+        # > 62 tables, no fork, an unpicklable cost model — and the level
+        # computation then runs on in-process threads instead,
         # bit-identically.  Created before any worker thread exists so the
         # pool never forks a threaded process.
         self._fabric = None
@@ -390,8 +677,8 @@ class ArenaDPOptimizer(AnytimeOptimizer):
                 self._finished = True
                 self.close()
                 break
-            self._process_chunk(chunk)
-            remaining -= sum(len(lefts) for _, _, lefts, _ in chunk)
+            self._replay_chunk(chunk)
+            remaining -= sum(count for _, _, count in chunk)
         self.statistics.steps += 1
 
     def close(self) -> None:
@@ -425,65 +712,15 @@ class ArenaDPOptimizer(AnytimeOptimizer):
                 self.statistics.plans_built += 1
                 cache.insert(handle, level_alpha)
 
-    def _split_positions(self, size: int, left_size: int) -> np.ndarray:
-        key = (size, left_size)
-        positions = self._split_positions_cache.get(key)
-        if positions is None:
-            positions = np.fromiter(
-                (
-                    position
-                    for combination in combinations(range(size), left_size)
-                    for position in combination
-                ),
-                dtype=np.int64,
-            ).reshape(-1, left_size)
-            self._split_positions_cache[key] = positions
-        return positions
-
-    def _left_bits_of(self, subset: Tuple[int, ...]) -> List[int]:
-        """Left-side bitsets of all ordered splits, in scalar-loop order.
-
-        The object engine enumerates ``for left_size: for left in
-        combinations(subset, left_size)``; gathering the subset's member
-        bits through the cached position matrix of ``(size, left_size)``
-        reproduces exactly that order (the subset tuple is ascending, and
-        each row's bits are distinct, so the row sum equals the bit OR).
-        """
-        size = len(subset)
-        if self._num_tables <= _MAX_NUMPY_BITS:
-            member_bits = np.array([1 << t for t in subset], dtype=np.int64)
-            parts = [
-                member_bits[self._split_positions(size, left_size)].sum(axis=1)
-                for left_size in range(1, size)
-            ]
-            return np.concatenate(parts).tolist()
-        lefts: List[int] = []
-        for left_size in range(1, size):
-            for left in combinations(subset, left_size):
-                bits = 0
-                for t in left:
-                    bits |= 1 << t
-                lefts.append(bits)
-        return lefts
-
-    def _subset_bits(self, subset: Tuple[int, ...]) -> int:
-        bits = 0
-        for t in subset:
-            bits |= 1 << t
-        return bits
-
-    def _next_chunk(
-        self, budget: int
-    ) -> Optional[List[Tuple[int, FrozenSet[int], List[int], int]]]:
-        """Up to ``budget`` split tasks as ``(bits, rel, lefts, offset)`` runs.
+    def _next_chunk(self, budget: int) -> Optional[List[_ChunkRun]]:
+        """Up to ``budget`` split tasks as ``(cursor, offset, count)`` runs.
 
         Returns ``None`` when the lattice is exhausted.  A chunk never
         crosses a level boundary: level L+1 candidates are costed against
-        level-≤L frontiers, which must be final — and the coordinator
-        backend computes a whole level the moment it is entered, which
-        requires every level-L insertion to have been replayed already.
+        level-≤L frontiers, which must be final — every level-L split
+        replayed — before the first level-L+1 subset is reduced.
         """
-        chunk: List[Tuple[int, FrozenSet[int], List[int], int]] = []
+        chunk: List[_ChunkRun] = []
         while budget > 0:
             cursor = self._current
             if cursor is None:
@@ -498,95 +735,67 @@ class ArenaDPOptimizer(AnytimeOptimizer):
                     if self._backend == "coordinator":
                         self._compute_level(self._level)
                     continue
-                bits = self._subset_bits(subset)
-                rel = frozenset(subset)
-                self._sets[bits] = rel
-                if self._level_splits is not None:
-                    lefts = self._level_splits[bits]
-                else:
-                    lefts = self._left_bits_of(subset)
-                cursor = _SubsetCursor(bits, rel, lefts)
+                cursor = self._enter_subset(subset)
                 self._current = cursor
             take = min(budget, len(cursor.lefts) - cursor.index)
-            chunk.append(
-                (
-                    cursor.bits,
-                    cursor.rel,
-                    cursor.lefts[cursor.index : cursor.index + take],
-                    cursor.index,
-                )
-            )
+            chunk.append((cursor, cursor.index, take))
             cursor.index += take
             if cursor.index >= len(cursor.lefts):
                 self._current = None
             budget -= take
         return chunk
 
-    # ------------------------------------------------------------ processing
-    def _process_chunk(
-        self, chunk: List[Tuple[int, FrozenSet[int], List[int], int]]
-    ) -> None:
-        if self._level_effects is not None:
-            self._replay_chunk(chunk)
-            return
-        cache = self._cache
-        sets = self._sets
-        pairs: List[Tuple[List[int], List[int]]] = []
-        rows: List[Tuple[FrozenSet[int], List[int], List[int]]] = []
-        for bits, rel, lefts, _offset in chunk:
-            for left_bits in lefts:
-                outer_handles = cache.handles(sets[left_bits])
-                inner_handles = cache.handles(sets[bits ^ left_bits])
-                pairs.append((outer_handles, inner_handles))
-                rows.append((rel, outer_handles, inner_handles))
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("dp.kernel", splits=len(pairs)):
-                batches = self._batch_model.join_candidates_multi(pairs)
+    def _enter_subset(self, subset: Tuple[int, ...]) -> _SubsetCursor:
+        """Register a subset and take its effects: reduced now (sequential)
+        or computed with its level (coordinator)."""
+        bits = _subset_bits(subset)
+        rel = frozenset(subset)
+        self._sets[bits] = rel
+        lefts = left_bits_of(subset)
+        if self._backend == "coordinator":
+            effects = self._level_effects.pop(bits)
         else:
-            batches = self._batch_model.join_candidates_multi(pairs)
-        level_alpha = self._level_alpha
-        statistics = self.statistics
-        candidates = 0
-        for (rel, outer_handles, inner_handles), batch in zip(rows, batches):
-            statistics.plans_built += batch.size
-            candidates += batch.size
-            cache.insert_candidates(
-                rel, batch, outer_handles, inner_handles, level_alpha
+            cache = self._cache
+            sets = self._sets
+
+            def handles_of(table_bits: int) -> np.ndarray:
+                return cache.handles_array(sets[table_bits])
+
+            effects = reduce_subset(
+                self._batch_model, handles_of, bits, lefts, self._level_alpha
             )
-        global_metrics().add("dp.candidates", candidates)
+        return _SubsetCursor(bits, rel, lefts, effects)
 
-    def _replay_chunk(
-        self, chunk: List[Tuple[int, FrozenSet[int], List[int], int]]
-    ) -> None:
-        """Apply a level's recorded per-split decisions in canonical order.
+    # ------------------------------------------------------------ processing
+    def _replay_chunk(self, chunk: List[_ChunkRun]) -> None:
+        """Apply a chunk's recorded split decisions in canonical order.
 
-        Replaying the accepted candidate subsequence through ``insert()``
-        reproduces the sequential engine's cache state exactly: rejected
-        candidates have no side effects, and each accept/evict decision
-        recomputes identically on identical frontier state.
+        Replaying the accepted candidate subsequence reproduces one-by-one
+        insertion exactly: rejected candidates have no side effects, and
+        each accepted row's evictions recompute identically on identical
+        frontier state.  The frontier counters record what
+        :meth:`~repro.core.plan_cache.ArenaPlanCache.insert_candidates`
+        would have counted for the same splits.
         """
-        assert self._level_effects is not None
         cache = self._cache
         sets = self._sets
         arena = self._batch_model.arena
-        statistics = self.statistics
         replayed = 0
-        for bits, rel, lefts, offset in chunk:
-            subset_effects = self._level_effects[bits]
+        for cursor, offset, count in chunk:
+            bits = cursor.bits
+            candidates = 0
             runs: List[Tuple[np.ndarray, List[int], List[int]]] = []
-            for position, left_bits in enumerate(lefts):
-                candidate_count, records = subset_effects.split(offset + position)
-                statistics.plans_built += candidate_count
-                replayed += candidate_count
+            for index in range(offset, offset + count):
+                split_candidates, records = cursor.effects.split(index)
+                candidates += split_candidates
                 if records.shape[0]:
+                    left_bits = cursor.lefts[index]
                     runs.append((
                         records,
                         cache.handles(sets[left_bits]),
                         cache.handles(sets[bits ^ left_bits]),
                     ))
-            if not runs:
-                continue
+            replayed += candidates
             handles: List[int] = []
             for records, outer_handles, inner_handles in runs:
                 outers = records["outer"].tolist()
@@ -602,19 +811,27 @@ class ArenaDPOptimizer(AnytimeOptimizer):
                         cardinalities[index],
                         cost_rows[index],
                     ))
-            # The worker already took the (always-true) accept decisions on
-            # identical frontier state; replay only needs insert()'s
-            # eviction side, batched over this chunk's run of the subset.
-            if len(runs) == 1:
-                all_records = runs[0][0]
-            else:
-                all_records = np.concatenate([run[0] for run in runs])
-            cache.replay_accept_batch(
-                rel,
-                handles,
-                arena.format_codes_of_ops(all_records["op"]),
-                all_records["cost"],
+            before = cache.size_of(cursor.rel)
+            if runs:
+                # The reducer already took the (always-true) accept decisions
+                # on identical frontier state; replay only needs insert()'s
+                # eviction side, batched over this chunk's run of the subset.
+                if len(runs) == 1:
+                    all_records = runs[0][0]
+                else:
+                    all_records = np.concatenate([run[0] for run in runs])
+                cache.replay_accept_batch(
+                    cursor.rel,
+                    handles,
+                    arena.format_codes_of_ops(all_records["op"]),
+                    all_records["cost"],
+                )
+            record_insertions(
+                candidates,
+                len(handles),
+                before + len(handles) - cache.size_of(cursor.rel),
             )
+        self.statistics.plans_built += replayed
         global_metrics().add("dp.candidates", replayed)
 
     def _compute_level(self, level: int) -> None:
@@ -634,15 +851,10 @@ class ArenaDPOptimizer(AnytimeOptimizer):
     def _compute_level_inner(self, level: int) -> None:
         from repro.dist.dp import compute_dp_level  # local: avoids an import cycle
 
-        subsets = list(combinations(self._tables, level))
-        if self._num_tables <= _MAX_NUMPY_BITS:
-            # Warm the position cache before worker threads share it.
-            for left_size in range(1, level):
-                self._split_positions(level, left_size)
-        splits: Dict[int, List[int]] = {}
-        for subset in subsets:
-            splits[self._subset_bits(subset)] = self._left_bits_of(subset)
-        self._level_splits = splits
+        splits = {
+            _subset_bits(subset): left_bits_of(subset)
+            for subset in combinations(self._tables, level)
+        }
         if self._fabric is not None:
             # The previous level's frontiers are final the moment its last
             # insertion replayed; queue them for publication (the flush —
@@ -650,7 +862,7 @@ class ArenaDPOptimizer(AnytimeOptimizer):
             # compute_dp_level, and only if the level has cache misses).
             for subset in combinations(self._tables, level - 1):
                 self._fabric.queue_frontier(
-                    self._subset_bits(subset),
+                    _subset_bits(subset),
                     self._cache.handles_array(frozenset(subset)),
                 )
         self._level_effects = compute_dp_level(
@@ -683,7 +895,8 @@ def make_dp_optimizer(
     ``engine`` follows the library-wide convention: ``None`` falls back to
     the ``REPRO_PLAN_ENGINE`` environment variable and then to ``"arena"``
     (:func:`repro.plans.arena.resolve_plan_engine`).  The coordinator
-    backend exists only on the arena engine.
+    backend exists only on the arena engine; ``workers``, ``task_cache``
+    and ``on_lease`` are rejected without it, on either engine.
     """
     engine = resolve_plan_engine(engine)
     if engine == "object":
@@ -692,6 +905,7 @@ def make_dp_optimizer(
                 "backend='coordinator' requires the arena engine; "
                 "the object engine is the sequential reference"
             )
+        _check_backend_arguments(backend, workers, task_cache, on_lease)
         return DPOptimizer(cost_model, alpha=alpha, tasks_per_step=tasks_per_step)
     return ArenaDPOptimizer(
         cost_model,

@@ -24,8 +24,8 @@ The harness is organised as follows:
     plus per-task provenance traces.
 ``figures``
     One spec constructor per paper figure plus the ablation experiments
-    listed in DESIGN.md; every figure also has a wall-clock-free
-    step-driven variant (``STEP_FIGURE_SPECS``).
+    listed in ARCHITECTURE.md ("Figure specs"); every figure also has a
+    wall-clock-free step-driven variant (``STEP_FIGURE_SPECS``).
 ``statistics``
     Climb-path-length and Pareto-set-size statistics (Figure 3).
 """

@@ -1,8 +1,8 @@
 """Per-figure scenario specifications.
 
 One constructor per figure of the paper's evaluation (plus the ablation
-experiments listed in DESIGN.md).  Each constructor takes a
-:class:`~repro.bench.scenario.ScenarioScale`:
+experiments listed in ARCHITECTURE.md, "Figure specs").  Each constructor
+takes a :class:`~repro.bench.scenario.ScenarioScale`:
 
 * ``PAPER`` reproduces the paper's grid (query sizes, 20 test cases, 3 s or
   30 s budgets, NSGA-II population 200).  Expect hours of runtime in pure

@@ -430,8 +430,9 @@ def build_optimizer(
 
     Two scenario-level adjustments are applied: the NSGA-II population size
     (200 in the paper, smaller at reduced scales) and, for RMQ at reduced
-    scales, the compressed α schedule documented in DESIGN.md (the paper's
-    schedule assumes iteration rates a pure-Python run cannot reach).
+    scales, the compressed α schedule documented in ARCHITECTURE.md
+    ("Figure specs"; the paper's schedule assumes iteration rates a
+    pure-Python run cannot reach).
     """
     if name == "NSGA-II":
         return NSGA2Optimizer(cost_model, rng=rng, population_size=spec.nsga_population)

@@ -168,9 +168,10 @@ class PlanCache:
         return f"PlanCache(table_sets={len(self)}, total_plans={self.total_plans})"
 
 
-#: Minimum batch size for which the batched cache insertion runs the
-#: vectorized covered-by-frontier pre-filter (below it, per-row insertion is
-#: cheaper than the kernel dispatch; the decisions are identical).
+#: Minimum size of an α = 1 batch that runs the per-tag whole-batch kernel
+#: (:func:`_insert_batch_exact`); smaller batches, and every α > 1 batch, run
+#: the per-accepted-row sweep (:func:`_insert_batch_approx`).  The decisions
+#: are identical either way.
 _PREFILTER_MIN_BATCH = 8
 
 
@@ -193,19 +194,17 @@ class ArenaPlanCache:
     plan is a :class:`~repro.plans.arena.PlanArena` handle, each entry keeps
     its cost rows as a contiguous matrix, and whole candidate batches (the
     cross product of two sub-plan frontiers × join operators) are inserted
-    through vectorized kernels:
+    through one insertion kernel, :func:`_insert_batch` — the same kernel
+    the DP's subset reducer runs through :class:`FrontierSimulator`:
 
-    * with **α = 1** rows of different output formats never interact, so the
-      batch decomposes per format tag into independent
+    * with **α = 1** rows of different output formats never interact, so a
+      batch of at least :data:`_PREFILTER_MIN_BATCH` rows decomposes per
+      format tag into independent
       :func:`~repro.pareto.engine.batch_insert_masks` calls — one kernel
       pass per tag for the whole batch;
-    * with **α > 1** candidates α-dominated by the *pre-batch* frontier are
-      rejected in one kernel pass per tag — sound because eviction requires
-      exact dominance, and exact dominance composed with α-dominance is
-      still α-dominance (the covering row may be evicted mid-batch, but
-      only by a row that also covers the candidate) — and only the
-      surviving minority runs through sequential insertion against the
-      evolving frontier.
+    * every other batch is α-cover pre-filtered against the *pre-batch*
+      frontier in one fused pass, and the survivors are swept once per
+      *accepted* row (:func:`_insert_batch_approx`).
 
     Every accept/evict decision, and the resulting frontier order, equals
     the scalar path's.  Only accepted candidates are realized into arena
@@ -336,17 +335,9 @@ class ArenaPlanCache:
 
         before = len(entry.handles)
         accepted_count, _ = _insert_batch(entry, batch, alpha, realize)
-        # One registry update per batch: counter increments per candidate row
-        # would dominate the kernel work at large batch sizes.
-        metrics = global_metrics()
-        metrics.add("frontier.candidates", batch.size)
-        if accepted_count:
-            metrics.add("frontier.accepted", accepted_count)
-        if accepted_count != batch.size:
-            metrics.add("frontier.rejected", batch.size - accepted_count)
-        evicted = before + accepted_count - len(entry.handles)
-        if evicted:
-            metrics.add("frontier.evicted", evicted)
+        record_insertions(
+            batch.size, accepted_count, before + accepted_count - len(entry.handles)
+        )
         return accepted_count
 
     def replay_accept(
@@ -354,8 +345,8 @@ class ArenaPlanCache:
     ) -> None:
         """Append a handle whose accept decision was already taken elsewhere.
 
-        The replay half of the distributed DP: workers record exactly the
-        candidate subsequence sequential insertion would accept, so replaying
+        The replay half of the DP: the subset reducer records exactly the
+        candidate subsequence one-by-one insertion would accept, so replaying
         it only needs the *eviction* side of :meth:`insert` — the redundant
         covered-check (always false for a recorded accept on identical
         frontier state) is skipped.  ``tag``/``row`` may be passed when the
@@ -446,9 +437,29 @@ class ArenaPlanCache:
 # Entry-level insertion kernels
 # ---------------------------------------------------------------------------
 # The decision logic of ArenaPlanCache, factored over a bare _ArenaEntry so
-# that out-of-cache consumers — the distributed DP workers simulating a
-# subset's insertions before the main thread replays them — share the exact
-# accept/evict decisions with the sequential path.
+# that out-of-cache consumers — the DP's subset reducer simulating a
+# subset's insertions before the optimizer replays them — share the exact
+# accept/evict decisions with the cache.
+
+
+def record_insertions(candidates: int, accepted: int, evicted: int) -> None:
+    """Add one batch's decisions to the ``frontier.*`` counters.
+
+    One registry update per batch: counter increments per candidate row
+    would dominate the kernel work at large batch sizes.  The DP replay
+    counts through here too, so the counters do not depend on where a
+    batch was decided.
+    """
+    if not candidates:
+        return
+    metrics = global_metrics()
+    metrics.add("frontier.candidates", candidates)
+    if accepted:
+        metrics.add("frontier.accepted", accepted)
+    if accepted != candidates:
+        metrics.add("frontier.rejected", candidates - accepted)
+    if evicted:
+        metrics.add("frontier.evicted", evicted)
 
 
 def _entry_covered(
@@ -476,26 +487,6 @@ def _entry_append(entry: _ArenaEntry, handle: int, tag: int, row: np.ndarray) ->
     entry.rows = np.concatenate([entry.rows, row[None, :]])
     entry.handles.append(handle)
     entry.tags.append(tag)
-
-
-def _entry_prefilter(
-    entry: _ArenaEntry, batch: "CandidateBatch", alpha: float
-) -> List[int]:
-    """Positions of batch rows *not* α-covered by the pre-batch frontier."""
-    size = batch.size
-    if not entry.handles or size < _PREFILTER_MIN_BATCH:
-        return list(range(size))
-    frontier_tags = np.asarray(entry.tags, dtype=np.int64)
-    covered = np.zeros(size, dtype=bool)
-    for tag in np.unique(batch.tags).tolist():
-        frontier_mask = frontier_tags == tag
-        if not frontier_mask.any():
-            continue
-        batch_mask = batch.tags == tag
-        covered[batch_mask] = approx_dominates_matrix(
-            entry.rows[frontier_mask], batch.costs[batch_mask], alpha
-        ).any(axis=0)
-    return np.flatnonzero(~covered).tolist()
 
 
 def _insert_batch_exact(
@@ -543,26 +534,6 @@ def _insert_batch_exact(
     return len(accepted_positions), accepted_positions
 
 
-def _insert_batch_sequential(
-    entry: _ArenaEntry,
-    batch: "CandidateBatch",
-    alpha: float,
-    realize,
-) -> Tuple[int, List[int]]:
-    """Pre-filtered sequential insertion against the evolving frontier."""
-    survivors = _entry_prefilter(entry, batch, alpha)
-    accepted_positions: List[int] = []
-    for position in survivors:
-        row = batch.costs[position]
-        tag = int(batch.tags[position])
-        if _entry_covered(entry, tag, row, alpha):
-            continue
-        handle = realize(position)
-        _entry_append(entry, handle, tag, row)
-        accepted_positions.append(position)
-    return len(accepted_positions), accepted_positions
-
-
 def _insert_batch(
     entry: _ArenaEntry,
     batch: "CandidateBatch",
@@ -571,14 +542,17 @@ def _insert_batch(
 ) -> Tuple[int, List[int]]:
     """Insert a costed batch into one entry; returns (count, positions).
 
-    Dispatches between the α = 1 whole-batch kernel and the pre-filtered
-    sequential path with the same thresholds as
-    :meth:`ArenaPlanCache.insert_candidates`; the accepted positions are in
-    acceptance (= batch) order either way.
+    The one insertion kernel of the arena engine, behind both
+    :meth:`ArenaPlanCache.insert_candidates` and
+    :meth:`FrontierSimulator.insert_batch`: α = 1 batches of at least
+    :data:`_PREFILTER_MIN_BATCH` rows run the per-tag whole-batch kernel,
+    every other batch the per-accepted-row sweep.  Both are
+    decision-identical to inserting the rows one by one; the accepted
+    positions are in acceptance (= batch) order either way.
     """
     if alpha == 1.0 and batch.size >= _PREFILTER_MIN_BATCH:
         return _insert_batch_exact(entry, batch, realize)
-    return _insert_batch_sequential(entry, batch, alpha, realize)
+    return _insert_batch_approx(entry, batch, alpha, realize)
 
 
 def _insert_batch_approx(
@@ -587,17 +561,17 @@ def _insert_batch_approx(
     alpha: float,
     realize,
 ) -> Tuple[int, List[int]]:
-    """Whole-batch α > 1 insertion, vectorized per *accepted* row.
+    """Whole-batch insertion, vectorized per *accepted* row.
 
-    Decision-identical to :func:`_insert_batch_sequential` (property-tested
-    in ``tests/test_shm.py``): one fused (frontier × batch) α-cover
-    prefilter kills rows the pre-batch frontier covers, then a sweep runs
-    once per **accepted** row — each acceptance vector-rejects every later
-    survivor it α-covers and vector-evicts dominated peers and frontier
-    rows.  Accepted counts are tiny next to batch sizes, so this does
-    O(accepted · batch) work where pairwise matrices would do O(batch²).
-    This is the insertion path of the shared-memory fabric's worker
-    processes; the sequential engine keeps the reference kernels above.
+    Decision-identical to inserting the rows one by one through
+    :func:`_entry_covered` and :func:`_entry_append` (property-tested
+    against that scalar oracle in ``tests/test_shm.py``, α = 1 included):
+    one fused (frontier × batch) α-cover prefilter kills rows the
+    pre-batch frontier covers, then a sweep runs once per **accepted** row
+    — each acceptance vector-rejects every later survivor it α-covers and
+    vector-evicts dominated peers and frontier rows.  Accepted counts are
+    tiny next to batch sizes, so this does O(accepted · batch) work where
+    pairwise matrices would do O(batch²).
 
     Three facts make the decomposition sound:
 
@@ -695,17 +669,13 @@ def _insert_batch_approx(
 class FrontierSimulator:
     """Replays :class:`ArenaPlanCache` insertion decisions off to the side.
 
-    A distributed DP worker owns the frontier of exactly one table subset —
+    The DP's subset reducer owns the frontier of exactly one table subset —
     which starts empty and is touched by nobody else — so it can decide
     accept/evict for that subset on a private scratch entry without
     realizing any arena node.  The accepted batch positions it reports are
-    later replayed (in order) into the real cache by the coordinator's
-    reduce step, reproducing the sequential engine bit for bit.
-
-    The simulator dispatches α > 1 batches to the vectorized
-    :func:`_insert_batch_approx` path (decision-identical to the sequential
-    kernels, one matrix pass per batch) and α = 1 batches to the shared
-    exact kernel.
+    later replayed (in order) into the real cache, reproducing one-by-one
+    insertion bit for bit.  Batches run through :func:`_insert_batch`, the
+    cache's own insertion kernel.
     """
 
     def __init__(self, num_metrics: int) -> None:
@@ -760,12 +730,11 @@ class FrontierSimulator:
         caller keep them distinct across the batches of one subset."""
         if batch.size == 0:
             return []
+
         def realize(position: int) -> int:
             return -1 - (base + position)
-        if alpha == 1.0:
-            _, positions = _insert_batch(self._entry, batch, alpha, realize)
-        else:
-            _, positions = _insert_batch_approx(self._entry, batch, alpha, realize)
+
+        _, positions = _insert_batch(self._entry, batch, alpha, realize)
         return positions
 
     @property

@@ -10,6 +10,8 @@ algorithms' inner loops are built on:
   frontiers × all applicable join operators** with single array expressions
   per operator — the combination step of ``ApproximateFrontiers``
   (Algorithm 3) that dominates RMQ's iteration time;
+  :meth:`join_candidates_multi` costs many such cross products (the splits
+  of one DP subset) in the same kernel passes;
 * :meth:`cost_specs` costs a list of :class:`JoinSpec` candidate descriptions
   (the hill-climbing neighborhoods of one plan-tree height) — pending
   intermediates first, then the specs built on them — gathering every
@@ -117,9 +119,9 @@ class CandidateBatch:
 class _CrossDescription:
     """One laid-out frontier cross product awaiting node costing.
 
-    Everything :meth:`BatchCostModel.join_candidates` derives before the
-    per-node cost kernels run; ``join_candidates_multi`` concatenates several
-    of these so the kernels run once per operator over a whole level.
+    Everything :meth:`BatchCostModel._describe_cross` derives before the
+    per-node cost kernels run; several of these are concatenated so the
+    kernels run once per operator over a whole call.
     """
 
     op_codes: np.ndarray
@@ -131,8 +133,6 @@ class _CrossDescription:
     inner_cards_pc: np.ndarray
     #: ``outer_cost + inner_cost`` rows per candidate (node costs are added).
     base_costs: np.ndarray
-    #: Per-operator candidate position arrays (derived from the tiling).
-    groups: Dict[int, np.ndarray]
 
 
 class BatchCostModel:
@@ -189,9 +189,8 @@ class BatchCostModel:
         # Join selectivity per (outer, inner) table-set bitset pair; the
         # frozensets the join graph needs are built only on a miss.
         self._selectivity_memo: Dict[Tuple[int, int], float] = {}
-        # Candidate-pattern memo of the trusted level path: frontiers with
-        # the same inner-format sequence (ubiquitous across the splits of a
-        # DP level) share one (pattern_ops, pattern_inner, per_outer) layout.
+        # Candidate-pattern memo of the cross-product layout, keyed by the
+        # inner frontier's format sequence (see _cross_pattern).
         self._pattern_memo: Dict[bytes, Tuple[np.ndarray, np.ndarray, int]] = {}
         self._operator_codes: Dict[object, int] = {
             op: code for code, op in enumerate(arena_obj.operators)
@@ -493,177 +492,16 @@ class BatchCostModel:
             op_codes=empty, tags=empty, outer_pos=empty, inner_pos=empty,
         )
 
-    def _describe_cross(
-        self, outer_handles: Sequence[int], inner_handles: Sequence[int]
-    ) -> "Optional[_CrossDescription]":
-        """Lay out one frontier cross product: everything but the node costs.
-
-        Returns ``None`` for an empty cross product.  The per-candidate
-        arrays are in the scalar loop order ``for outer: for inner: for op``.
-        """
-        arena = self._arena
-        num_outer = len(outer_handles)
-        num_inner = len(inner_handles)
-        if num_outer == 0 or num_inner == 0:
-            return None
-        outer_bits = arena.rel_bits(outer_handles[0])
-        inner_bits = arena.rel_bits(inner_handles[0])
-        for side, bits, handles in (
-            ("outer", outer_bits, outer_handles),
-            ("inner", inner_bits, inner_handles),
-        ):
-            for handle in handles:
-                if arena.rel_bits(handle) != bits:
-                    raise ValueError(
-                        f"{side} handles must all join the same table set; "
-                        f"got {sorted(arena.rel(handle))} and "
-                        f"{sorted(arena.rel(handles[0]))}"
-                    )
-        outer_idx = np.asarray(outer_handles, dtype=np.int64)
-        inner_idx = np.asarray(inner_handles, dtype=np.int64)
-        outer_cards = arena.cardinalities_of(outer_idx)
-        inner_cards = arena.cardinalities_of(inner_idx)
-        selectivity = self._selectivity(outer_bits, inner_bits)
-        products = outer_cards[:, None] * inner_cards[None, :] * selectivity
-        output_cards = np.where(products > 1.0, products, 1.0)
-
-        inner_formats = arena.format_codes_of(inner_idx)
-        ops_per_inner = self._applicable_counts[inner_formats]
-        per_outer = int(ops_per_inner.sum())
-        # Candidate pattern within one outer row: for each inner j, its
-        # applicable operator codes in library order.
-        pattern_ops = np.concatenate(
-            [self._applicable_arrays[code] for code in inner_formats.tolist()]
-        )
-        pattern_inner = np.repeat(np.arange(num_inner, dtype=np.int64), ops_per_inner)
-        op_codes = np.tile(pattern_ops, num_outer)
-        inner_pos = np.tile(pattern_inner, num_outer)
-        outer_pos = np.repeat(np.arange(num_outer, dtype=np.int64), per_outer)
-
-        cardinalities = output_cards[outer_pos, inner_pos]
-        # Per-operator position groups follow from the tiling: an operator's
-        # occurrences repeat every ``per_outer`` candidates.
-        tile_starts = per_outer * np.arange(num_outer, dtype=np.int64)
-        groups = {
-            code: (
-                np.flatnonzero(pattern_ops == code)[None, :] + tile_starts[:, None]
-            ).ravel()
-            for code in np.unique(pattern_ops).tolist()
-        }
-        return _CrossDescription(
-            op_codes=op_codes,
-            outer_pos=outer_pos,
-            inner_pos=inner_pos,
-            cardinalities=cardinalities,
-            outer_cards_pc=outer_cards[outer_pos],
-            inner_cards_pc=inner_cards[inner_pos],
-            base_costs=arena.costs_of(outer_idx)[outer_pos]
-            + arena.costs_of(inner_idx)[inner_pos],
-            groups=groups,
-        )
-
-    def _assemble_batch(
-        self, description: "_CrossDescription", node_costs: np.ndarray
-    ) -> CandidateBatch:
-        totals = description.base_costs + node_costs
-        return CandidateBatch(
-            costs=totals,
-            cardinalities=description.cardinalities,
-            op_codes=description.op_codes,
-            tags=self._arena.format_codes_of_ops(description.op_codes),
-            outer_pos=description.outer_pos,
-            inner_pos=description.inner_pos,
-        )
-
-    def join_candidates(
-        self, outer_handles: Sequence[int], inner_handles: Sequence[int]
-    ) -> CandidateBatch:
-        """Cost the cross product of two partial-plan frontiers.
-
-        All handles on one side must join the **same table set** (the lists
-        are partial-plan frontiers of two fixed intermediate results, as in
-        ``ApproximateFrontiers``): the join selectivity is computed once
-        for that pair of table sets.  Mixed-relation inputs are rejected.
-
-        All ``|outer| × |inner| × |applicable operators|`` candidate joins
-        are costed in array expressions (one kernel pass per distinct
-        operator); no arena nodes are created.  The batch row order matches
-        the scalar loop ``for outer: for inner: for op``, so inserting the
-        rows sequentially into a frontier reproduces the object path
-        decision for decision.
-        """
-        description = self._describe_cross(outer_handles, inner_handles)
-        if description is None:
-            return self._empty_batch()
-        node_costs = self._node_costs_grouped(
-            description.outer_cards_pc,
-            description.inner_cards_pc,
-            description.cardinalities,
-            description.groups,
-        )
-        return self._assemble_batch(description, node_costs)
-
-    def join_candidates_multi(
-        self, pairs: Sequence[Tuple[Sequence[int], Sequence[int]]]
-    ) -> List[CandidateBatch]:
-        """Cost many frontier cross products in one grouped kernel pass.
-
-        ``pairs`` is a list of ``(outer_handles, inner_handles)`` frontier
-        pairs — e.g. every (left, right) split a DP step processes within
-        one subset level.  The candidates of all pairs are concatenated and
-        the per-node cost kernels run once per distinct operator over the
-        whole concatenation instead of once per pair, amortizing kernel
-        dispatch over the level.  Every built-in kernel is elementwise per
-        candidate, so each returned batch is bit-identical to the
-        corresponding :meth:`join_candidates` call (pinned by
-        ``tests/test_dp_arena.py``).
-        """
-        descriptions = [
-            self._describe_cross(outer_handles, inner_handles)
-            for outer_handles, inner_handles in pairs
-        ]
-        live = [d for d in descriptions if d is not None]
-        if not live:
-            return [self._empty_batch() for _ in descriptions]
-        merged_groups: Dict[int, List[np.ndarray]] = {}
-        offset = 0
-        for description in live:
-            for code, positions in description.groups.items():
-                merged_groups.setdefault(code, []).append(positions + offset)
-            offset += description.op_codes.shape[0]
-        node_costs = self._node_costs_grouped(
-            np.concatenate([d.outer_cards_pc for d in live]),
-            np.concatenate([d.inner_cards_pc for d in live]),
-            np.concatenate([d.cardinalities for d in live]),
-            {
-                code: np.concatenate(chunks)
-                for code, chunks in merged_groups.items()
-            },
-        )
-        batches: List[CandidateBatch] = []
-        offset = 0
-        for description in descriptions:
-            if description is None:
-                batches.append(self._empty_batch())
-                continue
-            size = description.op_codes.shape[0]
-            batches.append(
-                self._assemble_batch(description, node_costs[offset : offset + size])
-            )
-            offset += size
-        return batches
-
-    # ------------------------------------------------ trusted worker pipeline
     def _cross_pattern(
         self, inner_formats: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Memoized per-outer candidate layout for one inner-format sequence.
 
-        Within a DP level most splits share the same inner frontier format
-        sequence, so the ``(pattern_ops, pattern_inner, per_outer)`` layout
-        is cached by the raw bytes of ``inner_formats``.  Only the trusted
-        path uses the memo; the sequential engine keeps deriving the layout
-        per call so benchmark comparisons stay honest.
+        For each inner ``j``, its applicable operator codes in library
+        order: ``(pattern_ops, pattern_inner, per_outer)``.  Frontiers with
+        the same inner-format sequence (ubiquitous across the splits of a
+        DP subset) share one layout, cached by the raw bytes of
+        ``inner_formats``.
         """
         key = inner_formats.tobytes()
         cached = self._pattern_memo.get(key)
@@ -679,21 +517,19 @@ class BatchCostModel:
             self._pattern_memo[key] = cached
         return cached
 
-    def _describe_cross_trusted(
+    def _describe_cross(
         self,
         outer_idx: np.ndarray,
         inner_idx: np.ndarray,
         outer_bits: int,
         inner_bits: int,
     ) -> "Optional[_CrossDescription]":
-        """:meth:`_describe_cross` minus validation, for pre-validated splits.
+        """Lay out one frontier cross product: everything but the node costs.
 
-        The caller asserts that all outer handles join exactly the table
-        set ``outer_bits`` and all inner handles ``inner_bits`` (DP splits
-        are enumerated as subset bits, so re-reading per-handle relations
-        would only re-check an invariant the enumeration guarantees).  Groups
-        are left empty — :meth:`join_candidates_level` computes one global
-        per-operator index over the whole level instead.
+        The caller vouches that every outer handle joins exactly the table
+        set ``outer_bits`` and every inner handle ``inner_bits``.  Returns
+        ``None`` for an empty cross product.  The per-candidate arrays are
+        in the scalar loop order ``for outer: for inner: for op``.
         """
         arena = self._arena
         num_outer = outer_idx.shape[0]
@@ -720,25 +556,21 @@ class BatchCostModel:
             inner_cards_pc=inner_cards[inner_pos],
             base_costs=arena.costs_of(outer_idx)[outer_pos]
             + arena.costs_of(inner_idx)[inner_pos],
-            groups={},
         )
 
-    def join_candidates_level(
-        self,
-        splits: Sequence[Tuple[np.ndarray, np.ndarray, int, int]],
+    def _join_splits(
+        self, splits: Sequence[Tuple[Sequence[int], Sequence[int], int, int]]
     ) -> List[CandidateBatch]:
-        """Trusted variant of :meth:`join_candidates_multi` for DP shards.
+        """Cost every split's cross product with one pass per operator.
 
-        ``splits`` rows are ``(outer_handles, inner_handles, outer_bits,
-        inner_bits)`` with int64 handle arrays and the two sides' table-set
-        bitsets (the shared-memory fabric ships subset bits, so relations
-        never need per-handle lookups).  Per-operator groups
-        are computed once over the concatenated level — elementwise kernels
-        make the scatter bit-identical to the per-split merged groups of
-        ``join_candidates_multi``.
+        The body of :meth:`join_candidates` and :meth:`join_candidates_multi`
+        (kept apart so a profile of one never nests inside the other).
+        Per-operator groups are computed once over the concatenated
+        candidates; every built-in kernel is elementwise per candidate, so
+        each batch is bit-identical whatever else shares its call.
         """
         descriptions = [
-            self._describe_cross_trusted(
+            self._describe_cross(
                 np.asarray(outer_handles, dtype=np.int64),
                 np.asarray(inner_handles, dtype=np.int64),
                 outer_bits,
@@ -767,11 +599,69 @@ class BatchCostModel:
                 batches.append(self._empty_batch())
                 continue
             size = description.op_codes.shape[0]
+            totals = description.base_costs + node_costs[offset : offset + size]
             batches.append(
-                self._assemble_batch(description, node_costs[offset : offset + size])
+                CandidateBatch(
+                    costs=totals,
+                    cardinalities=description.cardinalities,
+                    op_codes=description.op_codes,
+                    tags=self._arena.format_codes_of_ops(description.op_codes),
+                    outer_pos=description.outer_pos,
+                    inner_pos=description.inner_pos,
+                )
             )
             offset += size
         return batches
+
+    def join_candidates(
+        self, outer_handles: Sequence[int], inner_handles: Sequence[int]
+    ) -> CandidateBatch:
+        """Cost the cross product of two partial-plan frontiers.
+
+        All handles on one side must join the **same table set** (the lists
+        are partial-plan frontiers of two fixed intermediate results, as in
+        ``ApproximateFrontiers``): the join selectivity is computed once
+        for that pair of table sets.  Mixed-relation inputs are rejected.
+
+        All ``|outer| × |inner| × |applicable operators|`` candidate joins
+        are costed in array expressions (one kernel pass per distinct
+        operator); no arena nodes are created.  The batch row order matches
+        the scalar loop ``for outer: for inner: for op``, so inserting the
+        rows sequentially into a frontier reproduces the object path
+        decision for decision.
+        """
+        if len(outer_handles) == 0 or len(inner_handles) == 0:
+            return self._empty_batch()
+        arena = self._arena
+        sides = []
+        for side, handles in (("outer", outer_handles), ("inner", inner_handles)):
+            bits = arena.rel_bits(handles[0])
+            for handle in handles:
+                if arena.rel_bits(handle) != bits:
+                    raise ValueError(
+                        f"{side} handles must all join the same table set; "
+                        f"got {sorted(arena.rel(handle))} and "
+                        f"{sorted(arena.rel(handles[0]))}"
+                    )
+            sides.append(bits)
+        return self._join_splits([(outer_handles, inner_handles, *sides)])[0]
+
+    def join_candidates_multi(
+        self, splits: Sequence[Tuple[Sequence[int], Sequence[int], int, int]]
+    ) -> List[CandidateBatch]:
+        """Cost many frontier cross products in one grouped kernel pass.
+
+        ``splits`` rows are ``(outer_handles, inner_handles, outer_bits,
+        inner_bits)``: two frontiers and the table-set bitsets they join —
+        e.g. every (left, right) split of one DP subset.  The caller vouches
+        for the bits (DP splits are enumerated as subset bits, so
+        re-reading per-handle relations would only re-check an invariant
+        the enumeration guarantees).  The per-node cost kernels run once
+        per distinct operator over all splits instead of once per split,
+        and each returned batch is bit-identical to the corresponding
+        :meth:`join_candidates` call.
+        """
+        return self._join_splits(splits)
 
     def realize_candidate(
         self,

@@ -56,13 +56,11 @@ _STAT_KEYS = ("hits", "misses", "stores", "evictions")
 #: Version tag of the cache entry file format.
 CACHE_ENTRY_FORMAT = "repro-task-cache-v1"
 
-#: Version tag of raw-key entries (subsystems that hash their own
-#: provenance, e.g. per-subset DP reductions in :mod:`repro.dist.dp`).
-CACHE_RAW_FORMAT = "repro-task-cache-raw-v1"
-
-#: Leading magic of binary raw-key entries (``.bin`` files).  The key is
-#: embedded after the magic so foreign or renamed files are misses, exactly
-#: like the JSON tiers' ``format``/``key`` checks.
+#: Leading magic of raw-key entries (``.bin`` files) — subsystems that hash
+#: their own provenance, e.g. per-subset DP reductions in
+#: :mod:`repro.dist.dp`.  The key is embedded after the magic so foreign or
+#: renamed files are misses, exactly like the task entries'
+#: ``format``/``key`` checks.
 CACHE_RAW_BYTES_MAGIC = b"repro-task-cache-bin-v1\n"
 
 #: File suffixes that count as cache entries (LRU accounting and ``len``).
@@ -335,85 +333,18 @@ class TaskCache:
         return key
 
     # -------------------------------------------------------- raw-key entries
-    def get_raw(self, key: str) -> Optional[dict]:
-        """The JSON payload cached under a caller-computed provenance key.
-
-        The raw-key API serves subsystems whose provenance is not a
-        :class:`~repro.bench.tasks.TaskSpec` — the caller hashes everything
-        that determines its result (see ``repro.dist.dp.dp_subset_key``) and
-        stores an arbitrary JSON-serializable payload.  Raw entries share
-        the directory tree, atomic writes, stats, and LRU policy with task
-        entries but carry their own format tag, so neither API can misread
-        the other's files.
-        """
-        path = self._entry_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError:
-            self._count("misses")
-            return None
-        try:
-            entry = json.loads(text)
-            if entry.get("format") != CACHE_RAW_FORMAT or entry.get("key") != key:
-                raise ValueError("foreign or stale cache entry")
-            payload = entry["payload"]
-        except (ValueError, KeyError, TypeError) as error:
-            self._note_corrupt(key, path, error)
-            self._count("misses")
-            return None
-        self._count("hits")
-        self._count("bytes_read", len(text))
-        if self._max_bytes is not None:
-            self._touch(path)
-        return payload
-
-    def put_raw(self, key: str, payload: dict) -> str:
-        """Store a JSON payload under a caller-computed key; returns the key.
-
-        The caller vouches for determinism: the key must cover every input
-        that can affect the payload.
-        """
-        path = self._entry_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                existing = json.load(handle)
-            if existing.get("format") == CACHE_RAW_FORMAT and existing.get("key") == key:
-                if self._max_bytes is not None:
-                    self._touch(path)
-                return key
-        except (OSError, ValueError):
-            pass
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_json_atomic(
-            path,
-            {"format": CACHE_RAW_FORMAT, "key": key, "payload": payload},
-        )
-        self._count("stores")
-        self._count_written(path)
-        if self._max_bytes is not None:
-            if self._approx_bytes is None:
-                self._approx_bytes = self.total_bytes()
-            else:
-                try:
-                    self._approx_bytes += os.path.getsize(path)
-                except OSError:
-                    pass
-            if self._approx_bytes > self._max_bytes:
-                self._enforce_cap(keep=path)
-        return key
-
-    # ------------------------------------------------- raw-key binary entries
     def get_raw_bytes(self, key: str) -> Optional[bytes]:
         """The packed-bytes payload cached under a caller-computed key.
 
-        The binary tier of the raw-key API: payloads are opaque byte strings
-        (e.g. the packed structured-array DP effects of
-        :mod:`repro.dist.dp`), stored verbatim after a magic + key header —
-        float64 values round-trip exactly, NaN and ±inf included, with none
-        of JSON's number-formatting hazards.  Shares the directory tree,
-        atomic writes, stats, and LRU policy with the JSON tiers; the
-        distinct suffix and magic keep the tiers from misreading each other.
+        The raw-key API serves subsystems whose provenance is not a
+        :class:`~repro.bench.tasks.TaskSpec`: the caller hashes everything
+        that determines its result (see ``repro.dist.dp.dp_subset_key``) and
+        stores an opaque byte string (e.g. the packed DP effects of
+        :class:`~repro.baselines.dp.SubsetEffects`), kept verbatim after a
+        magic + key header — float64 values round-trip exactly, NaN and
+        ±inf included.  Shares the directory tree, atomic writes, stats, and
+        LRU policy with task entries; the distinct suffix and magic keep the
+        two from misreading each other.
         """
         path = self._entry_path_bin(key)
         prefix = CACHE_RAW_BYTES_MAGIC + key.encode("ascii") + b"\n"
@@ -438,8 +369,8 @@ class TaskCache:
     def put_raw_bytes(self, key: str, payload: bytes) -> str:
         """Store a packed-bytes payload under a caller-computed key.
 
-        As with :meth:`put_raw`, the caller vouches that the key covers
-        every input that can affect the payload.  Entries are immutable:
+        The caller vouches that the key covers every input that can affect
+        the payload.  Entries are immutable:
         an existing valid entry is not rewritten, only LRU-refreshed.
         """
         path = self._entry_path_bin(key)

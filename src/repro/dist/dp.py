@@ -5,9 +5,10 @@ The coordinator backend of
 the DP lattice at a time through the generic lease
 :class:`~repro.dist.coordinator.Coordinator`: the level's subsets are
 sharded into :class:`DPLevelTask` leaf tasks, each worker reduces its
-subsets against the (immutable during the level) lower-level frontiers,
-and the optimizer replays the recorded per-split decisions in canonical
-enumeration order.
+subsets against the (immutable during the level) lower-level frontiers
+with the DP's one reducer (:func:`~repro.baselines.dp.reduce_subset`), and
+the optimizer replays the recorded per-split decisions in canonical
+enumeration order — the same replay the sequential backend runs.
 
 Determinism rests on two facts:
 
@@ -19,10 +20,9 @@ Determinism rests on two facts:
   cannot change it;
 * workers report *decisions*, not state: for every split, the candidate
   count and the accepted candidate rows (including candidates accepted and
-  later evicted within the same split — later accept tests depend on
-  them).  Replaying exactly that subsequence through
-  :meth:`~repro.core.plan_cache.ArenaPlanCache.insert` reproduces the
-  sequential engine's frontier bit-for-bit.
+  later evicted within the same subset — later accept tests depend on
+  them).  Replaying exactly that subsequence reproduces one-by-one
+  insertion bit for bit.
 
 Purity also makes the reductions content-addressable: with a
 :class:`~repro.dist.cache.TaskCache`, each subset's decisions are stored
@@ -38,33 +38,28 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.plan_cache import ArenaPlanCache, FrontierSimulator
+import numpy as np
+
+from repro.baselines.dp import SubsetEffects, reduce_subset
+from repro.core.plan_cache import ArenaPlanCache
 from repro.cost.batch import BatchCostModel
 from repro.dist.cache import TaskCache
 from repro.dist.coordinator import DEFAULT_LEASE_TIMEOUT, Coordinator, Lease
-from repro.dist.shm import ShmTaskFabric, SubsetEffects, pack_batches
+from repro.dist.shm import ShmTaskFabric
 from repro.dist.worker import Worker
 from repro.obs import get_tracer, global_metrics
 
 #: Format tag hashed into every DP provenance key.  v2: effect payloads
-#: moved from JSON nested tuples to the packed binary records of
-#: :mod:`repro.dist.shm` (``.bin`` cache tier), so keys never collide with
-#: v1 entries.
+#: moved from JSON nested tuples to the packed binary
+#: :class:`~repro.baselines.dp.SubsetEffects` records (``.bin`` cache
+#: tier), so keys never collide with v1 entries.
 DP_PROVENANCE_FORMAT = "repro-dp-subset-v2"
 
 #: Re-exported lease type granted to DP workers (the ``on_lease`` hook of
 #: :func:`compute_dp_level` receives these).
 DPLease = Lease
-
-#: One accepted candidate: (outer position, inner position, operator code,
-#: output cardinality, cost row).
-AcceptedRow = Tuple[int, int, int, float, Tuple[float, ...]]
-
-#: One split's recorded decisions: (candidate count, accepted rows in
-#: batch order — including rows evicted later within the same split).
-SplitEffect = Tuple[int, List[AcceptedRow]]
 
 
 @dataclass(frozen=True)
@@ -134,111 +129,6 @@ def dp_subset_key(signature: str, subset_bits: int) -> str:
     return digest.hexdigest()
 
 
-def _payload_from_effects(per_split: Sequence[SplitEffect]) -> dict:
-    return {
-        "splits": [
-            {
-                "count": count,
-                "accepted": [
-                    [outer, inner, op_code, cardinality, list(cost)]
-                    for outer, inner, op_code, cardinality, cost in accepted
-                ],
-            }
-            for count, accepted in per_split
-        ]
-    }
-
-
-def _effects_from_payload(payload: dict) -> List[SplitEffect]:
-    return [
-        (
-            int(split["count"]),
-            [
-                (
-                    int(outer),
-                    int(inner),
-                    int(op_code),
-                    float(cardinality),
-                    tuple(float(value) for value in cost),
-                )
-                for outer, inner, op_code, cardinality, cost in split["accepted"]
-            ],
-        )
-        for split in payload["splits"]
-    ]
-
-
-# ---------------------------------------------------------------- reduction
-def _reduce_subset_packed(
-    batch_model: BatchCostModel,
-    cache: ArenaPlanCache,
-    sets: Dict[int, FrozenSet[int]],
-    lefts: Sequence[int],
-    level_alpha: float,
-    bits: int,
-) -> SubsetEffects:
-    """In-process twin of the shared-memory workers' reduce pipeline.
-
-    The thread fallback of :func:`compute_dp_level` (used when
-    :meth:`~repro.dist.shm.ShmTaskFabric.create` declines): the same
-    trusted level kernel and frontier simulation as the fabric workers,
-    run against the live arena and cache — which are read-only for the
-    duration of a level — and packed into the same record layout.
-    """
-    splits = []
-    for left_bits in lefts:
-        right_bits = bits ^ left_bits
-        splits.append(
-            (
-                cache.handles_array(sets[left_bits]),
-                cache.handles_array(sets[right_bits]),
-                left_bits,
-                right_bits,
-            )
-        )
-    batches = batch_model.join_candidates_level(splits)
-    return pack_batches(batches, batch_model.num_metrics, level_alpha)
-
-
-def _reduce_subset(
-    batch_model: BatchCostModel,
-    cache: ArenaPlanCache,
-    sets: Dict[int, FrozenSet[int]],
-    lefts: Sequence[int],
-    level_alpha: float,
-    bits: int,
-) -> List[SplitEffect]:
-    """Reduce one subset: cost all splits, simulate pruning, record decisions.
-
-    Runs on worker threads against shared read-only state (the arena and
-    cache are only appended to between levels, never during one).  The
-    frontier the subset would build is simulated on a private scratch
-    entry, so nothing here mutates shared structures.
-    """
-    pairs = []
-    for left_bits in lefts:
-        outer_handles = cache.handles(sets[left_bits])
-        inner_handles = cache.handles(sets[bits ^ left_bits])
-        pairs.append((outer_handles, inner_handles))
-    batches = batch_model.join_candidates_multi(pairs)
-    simulator = FrontierSimulator(batch_model.num_metrics)
-    effects: List[SplitEffect] = []
-    for batch in batches:
-        positions = simulator.insert_batch(batch, level_alpha)
-        accepted: List[AcceptedRow] = [
-            (
-                int(batch.outer_pos[position]),
-                int(batch.inner_pos[position]),
-                int(batch.op_codes[position]),
-                float(batch.cardinalities[position]),
-                tuple(float(value) for value in batch.costs[position]),
-            )
-            for position in positions
-        ]
-        effects.append((batch.size, accepted))
-    return effects
-
-
 class _DPWorker(Worker):
     """Lease-pulling worker executing DP shard reductions in place of leaves."""
 
@@ -294,8 +184,8 @@ def compute_dp_level(
         Optional shared-memory task fabric.  When given (and flushed
         here), worker threads dispatch their shards to its process pool,
         which reduces over published zero-copy views; without one, the
-        same reductions run on the threads themselves
-        (:func:`_reduce_subset_packed`) — results are identical.
+        same reducer runs on the threads themselves against the live
+        cache — results are identical.
 
     Returns ``subset bits -> packed effects`` for the whole level.
     """
@@ -357,13 +247,14 @@ def compute_dp_level(
         for index, start in enumerate(range(0, len(pending), shard_size))
     ]
 
+    def handles_of(table_bits: int) -> np.ndarray:
+        return cache.handles_array(sets[table_bits])
+
     def reduce_shard(task: DPLevelTask) -> List[SubsetEffects]:
         if fabric is not None:
             return fabric.reduce_shard(task.subsets, level_alpha)
         return [
-            _reduce_subset_packed(
-                batch_model, cache, sets, splits[bits], level_alpha, bits
-            )
+            reduce_subset(batch_model, handles_of, bits, splits[bits], level_alpha)
             for bits in task.subsets
         ]
 

@@ -23,7 +23,7 @@ Topology::
 **Framing.**  Every frame is a 5-byte header — 4-byte big-endian payload
 length + 1-byte kind — followed by the payload.  Kind 0 is a UTF-8 JSON
 object (all control messages); kind 1 is opaque bytes, used for packed
-:class:`~repro.dist.shm.SubsetEffects` payloads moving through the shared
+:class:`~repro.baselines.dp.SubsetEffects` payloads moving through the shared
 cache's raw-bytes tier (``cache_put`` / ``cache_get``), so binary DP
 effects never pay a JSON round-trip.  Frames above ``MAX_FRAME_BYTES``
 are refused and the connection closed — a half-written or garbage header

@@ -19,13 +19,12 @@ speedup).  The fabric replaces that transport wholesale:
   counters and slice read-only NumPy views up to the published counts —
   refresh ships *deltas*, never state.
 * **Reduce** — workers rebuild a read-only twin of the arena
-  (:class:`BorrowedPlanArena`) over the attached buffers, cost whole
-  shards through the trusted level kernel
-  (:meth:`~repro.cost.batch.BatchCostModel.join_candidates_level`), and
-  simulate frontier insertion with
-  :class:`~repro.core.plan_cache.FrontierSimulator`.  Results return as
-  one packed structured array per subset (:class:`SubsetEffects`) instead
-  of pickled nested tuples.
+  (:class:`BorrowedPlanArena`) over the attached buffers and run the DP's
+  one subset reducer (:func:`~repro.baselines.dp.reduce_subset`) on it,
+  reading frontier handles from the published runs.  Results return as
+  one packed structured array per subset
+  (:class:`~repro.baselines.dp.SubsetEffects`) instead of pickled nested
+  tuples.
 * **Unlink** — the driver owns every segment and unlinks all of them in
   :meth:`ShmTaskFabric.close` (also run by a finalizer on the optimizer).
   Workers only ever attach + close.  The driver starts the
@@ -44,33 +43,21 @@ caches).
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import pickle
 import secrets
-import threading
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.plan_cache import FrontierSimulator
-from repro.cost.batch import BatchCostModel, CandidateBatch
+from repro.baselines.dp import SubsetEffects, left_bits_of, reduce_subset
+from repro.cost.batch import BatchCostModel
 from repro.obs import get_tracer, global_metrics
 from repro.plans.arena import PlanArena, bits_members
 
-__all__ = [
-    "SubsetEffects",
-    "ShmTaskFabric",
-    "BorrowedPlanArena",
-    "accepted_dtype",
-    "pack_batches",
-]
-
-#: Format tag of the packed-bytes encoding of :class:`SubsetEffects`.
-EFFECTS_BYTES_FORMAT = "repro-dp-effects-v1"
+__all__ = ["ShmTaskFabric", "BorrowedPlanArena"]
 
 #: Beyond this many tables the int64 bitset layout overflows; the fabric
 #: declines and the coordinator falls back to in-process threads.
@@ -83,255 +70,16 @@ _MIN_SEGMENT_ITEMS = 256
 _EMPTY_HANDLES = np.empty(0, dtype=np.int64)
 
 
-# ------------------------------------------------------------- record layout
-_ACCEPTED_DTYPES: Dict[int, np.dtype] = {}
-
-
-def accepted_dtype(num_metrics: int) -> np.dtype:
-    """Record dtype of one accepted candidate row.
-
-    Explicitly little-endian and unpadded, so the raw bytes are a stable
-    on-disk / cross-process format: ``split`` (index of the split within
-    its subset), ``outer`` / ``inner`` (frontier positions), ``op``
-    (operator code), ``card`` (output cardinality), ``cost``
-    (``num_metrics`` float64 values, NaN/±inf exact).
-    """
-    dtype = _ACCEPTED_DTYPES.get(num_metrics)
-    if dtype is None:
-        dtype = np.dtype(
-            [
-                ("split", "<i4"),
-                ("outer", "<i4"),
-                ("inner", "<i4"),
-                ("op", "<i4"),
-                ("card", "<f8"),
-                ("cost", "<f8", (num_metrics,)),
-            ]
-        )
-        _ACCEPTED_DTYPES[num_metrics] = dtype
-    return dtype
-
-
-class SubsetEffects:
-    """One subset's recorded DP decisions as packed arrays.
-
-    ``counts[s]`` is split ``s``'s candidate count; ``rows`` holds every
-    accepted candidate (including ones evicted later within the same split
-    — replay needs them) in acceptance order, split-major, as
-    :func:`accepted_dtype` records.  This is the wire format between
-    fabric workers and the driver, and — via :meth:`to_bytes` /
-    :meth:`from_bytes` — the binary ``TaskCache`` payload.
-    """
-
-    __slots__ = ("counts", "rows", "_offsets")
-
-    def __init__(self, counts: np.ndarray, rows: np.ndarray) -> None:
-        self.counts = counts
-        self.rows = rows
-        self._offsets: Optional[np.ndarray] = None
-
-    @property
-    def num_splits(self) -> int:
-        """Number of splits recorded for the subset."""
-        return int(self.counts.shape[0])
-
-    def split(self, index: int) -> Tuple[int, np.ndarray]:
-        """``(candidate count, accepted records)`` of one split."""
-        if self._offsets is None:
-            per_split = np.bincount(
-                self.rows["split"], minlength=self.counts.shape[0]
-            )
-            self._offsets = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(per_split, dtype=np.int64)]
-            )
-        start = int(self._offsets[index])
-        stop = int(self._offsets[index + 1])
-        return int(self.counts[index]), self.rows[start:stop]
-
-    # ------------------------------------------------------------- codecs
-    def to_bytes(self) -> bytes:
-        """Pack into one byte string: JSON header line + raw array bytes.
-
-        Float64 values round-trip exactly — NaN and ±inf included — because
-        they are stored as raw IEEE-754 bytes, not decimal text.
-        """
-        num_metrics = int(self.rows.dtype["cost"].shape[0])
-        header = json.dumps(
-            {
-                "format": EFFECTS_BYTES_FORMAT,
-                "num_metrics": num_metrics,
-                "splits": int(self.counts.shape[0]),
-                "accepted": int(self.rows.shape[0]),
-            },
-            sort_keys=True,
-        ).encode("ascii")
-        return (
-            header
-            + b"\n"
-            + np.ascontiguousarray(self.counts, dtype="<i8").tobytes()
-            + np.ascontiguousarray(self.rows).tobytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes, num_metrics: int) -> "SubsetEffects":
-        """Decode :meth:`to_bytes` output; raises ``ValueError`` on foreign
-        or truncated payloads (callers treat that as a cache miss)."""
-        newline = data.find(b"\n")
-        if newline < 0:
-            raise ValueError("missing effects header")
-        try:
-            header = json.loads(data[:newline])
-        except json.JSONDecodeError as exc:
-            raise ValueError("corrupt effects header") from exc
-        if (
-            header.get("format") != EFFECTS_BYTES_FORMAT
-            or header.get("num_metrics") != num_metrics
-        ):
-            raise ValueError("foreign effects payload")
-        splits = int(header["splits"])
-        accepted = int(header["accepted"])
-        dtype = accepted_dtype(num_metrics)
-        body = newline + 1
-        expected = body + 8 * splits + dtype.itemsize * accepted
-        if len(data) != expected:
-            raise ValueError("truncated effects payload")
-        counts = np.frombuffer(data, dtype="<i8", count=splits, offset=body)
-        rows = np.frombuffer(
-            data, dtype=dtype, count=accepted, offset=body + 8 * splits
-        )
-        return cls(counts, rows)
-
-    # ------------------------------------------- legacy tuple interchange
-    @classmethod
-    def from_split_effects(
-        cls, per_split: Sequence[Tuple[int, list]], num_metrics: int
-    ) -> "SubsetEffects":
-        """Build from the legacy nested-tuple ``SplitEffect`` list."""
-        dtype = accepted_dtype(num_metrics)
-        counts = np.asarray([count for count, _ in per_split], dtype="<i8")
-        total = sum(len(accepted) for _, accepted in per_split)
-        rows = np.empty(total, dtype=dtype)
-        position = 0
-        for index, (_, accepted) in enumerate(per_split):
-            for outer, inner, op_code, cardinality, cost in accepted:
-                record = rows[position]
-                record["split"] = index
-                record["outer"] = outer
-                record["inner"] = inner
-                record["op"] = op_code
-                record["card"] = cardinality
-                record["cost"] = cost
-                position += 1
-        return cls(counts, rows)
-
-    def to_split_effects(self) -> List[Tuple[int, list]]:
-        """The legacy nested-tuple form (tests and debugging)."""
-        effects = []
-        for index in range(self.num_splits):
-            count, records = self.split(index)
-            accepted = [
-                (
-                    int(record["outer"]),
-                    int(record["inner"]),
-                    int(record["op"]),
-                    float(record["card"]),
-                    tuple(float(value) for value in record["cost"]),
-                )
-                for record in records
-            ]
-            effects.append((count, accepted))
-        return effects
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SubsetEffects(splits={self.num_splits}, "
-            f"accepted={int(self.rows.shape[0])})"
-        )
-
-
-# --------------------------------------------------------------- reduction
-def pack_batches(
-    batches: Sequence[CandidateBatch], num_metrics: int, level_alpha: float
-) -> SubsetEffects:
-    """Simulate one subset's frontier over its costed batches; pack results.
-
-    The shared reduce step of the fabric workers and the thread fallback:
-    each batch runs through a private :class:`FrontierSimulator` (decision-
-    identical to sequential insertion) and the accepted positions are
-    gathered into :func:`accepted_dtype` records.
-    """
-    simulator = FrontierSimulator(num_metrics)
-    dtype = accepted_dtype(num_metrics)
-    counts = np.empty(len(batches), dtype="<i8")
-    chunks: List[np.ndarray] = []
-    base = 0
-    for index, batch in enumerate(batches):
-        positions = simulator.insert_batch(batch, level_alpha, base=base)
-        base += batch.size
-        counts[index] = batch.size
-        if positions:
-            gather = np.asarray(positions, dtype=np.int64)
-            records = np.empty(gather.shape[0], dtype=dtype)
-            records["split"] = index
-            records["outer"] = batch.outer_pos[gather]
-            records["inner"] = batch.inner_pos[gather]
-            records["op"] = batch.op_codes[gather]
-            records["card"] = batch.cardinalities[gather]
-            records["cost"] = batch.costs[gather]
-            chunks.append(records)
-    rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
-    return SubsetEffects(counts, rows)
-
-
-# ----------------------------------------------------- subset enumeration
-_SPLIT_POSITIONS: Dict[Tuple[int, int], np.ndarray] = {}
-_SPLIT_POSITIONS_LOCK = threading.Lock()
-
-
-def _split_positions(size: int, left_size: int) -> np.ndarray:
-    """Combination-position matrix, identical to the optimizer's cache."""
-    key = (size, left_size)
-    positions = _SPLIT_POSITIONS.get(key)
-    if positions is None:
-        positions = np.fromiter(
-            (
-                position
-                for combination in combinations(range(size), left_size)
-                for position in combination
-            ),
-            dtype=np.int64,
-        ).reshape(-1, left_size)
-        with _SPLIT_POSITIONS_LOCK:
-            _SPLIT_POSITIONS.setdefault(key, positions)
-    return positions
-
-
-def _left_bits_for(subset: Tuple[int, ...]) -> List[int]:
-    """Left-side bitsets of a subset's ordered splits, scalar-loop order.
-
-    Must enumerate identically to
-    ``ArenaDPOptimizer._left_bits_of`` — the driver replays split ``s`` of
-    a subset against the worker's recorded split ``s``.
-    """
-    size = len(subset)
-    member_bits = np.array([1 << table for table in subset], dtype=np.int64)
-    parts = [
-        member_bits[_split_positions(size, left_size)].sum(axis=1)
-        for left_size in range(1, size)
-    ]
-    return np.concatenate(parts).tolist()
-
-
 # ------------------------------------------------------------ borrowed arena
 class BorrowedPlanArena(PlanArena):
     """A read-only arena twin over attached shared-memory columns.
 
     Worker processes never build plan nodes — they only gather the numeric
-    columns (operator codes, cardinalities, costs) that the trusted level
-    kernel and the frontier simulator read.  :meth:`attach_columns` points
-    the column storage at borrowed views; every mutation path raises.
-    The Python side-car lists stay empty, so scalar accessors must not be
-    used on a borrowed arena (the trusted pipeline never does).
+    columns (operator codes, cardinalities, costs) that the subset reducer
+    reads.  :meth:`attach_columns` points the column storage at borrowed
+    views; every mutation path raises.  The Python side-car lists stay
+    empty, so scalar accessors must not be used on a borrowed arena (the
+    reducer never does).
     """
 
     def attach_columns(
@@ -474,23 +222,20 @@ class _WorkerFabricState:
         start, count = entry
         return pool[start : start + count]
 
-    def reduce_subset(self, bits: int, level_alpha: float) -> SubsetEffects:
+    def reduce(self, bits: int, level_alpha: float) -> SubsetEffects:
         """Reduce one subset over the attached views; pure and zero-copy."""
-        lefts = _left_bits_for(bits_members(bits))
         pool = self._views["fh"]
-        splits = []
-        for left_bits in lefts:
-            right_bits = bits ^ left_bits
-            splits.append(
-                (
-                    self._handles(left_bits, pool),
-                    self._handles(right_bits, pool),
-                    left_bits,
-                    right_bits,
-                )
-            )
-        batches = self._model.join_candidates_level(splits)
-        return pack_batches(batches, self._num_metrics, level_alpha)
+
+        def handles_of(table_bits: int) -> np.ndarray:
+            return self._handles(table_bits, pool)
+
+        return reduce_subset(
+            self._model,
+            handles_of,
+            bits,
+            left_bits_of(bits_members(bits)),
+            level_alpha,
+        )
 
 
 def _reduce_shard(
@@ -510,7 +255,7 @@ def _reduce_shard(
         raise RuntimeError("fabric worker used before initialization")
     metrics = reset_global_metrics()
     state.refresh(meta)
-    effects = [state.reduce_subset(bits, level_alpha) for bits in subsets]
+    effects = [state.reduce(bits, level_alpha) for bits in subsets]
     metrics.add("dp.worker_subsets", len(effects))
     metrics.add(
         "dp.worker_candidates",
@@ -543,9 +288,9 @@ class ShmTaskFabric:
 
     Construct through :meth:`create`, which returns ``None`` whenever the
     platform or workload cannot support the fabric (no fork start method,
-    more than 62 tables, unpicklable cost model, ``REPRO_DP_FABRIC``
-    forced to ``threads``) — callers then fall back to the in-process
-    thread reducer, which produces identical results.
+    more than 62 tables, unpicklable cost model) — callers then fall back
+    to running the same reducer on in-process threads, which produces
+    identical results.
     """
 
     def __init__(
@@ -579,14 +324,6 @@ class ShmTaskFabric:
         cls, batch_model: BatchCostModel, workers: int
     ) -> Optional["ShmTaskFabric"]:
         """Build the fabric, or ``None`` when it cannot run here."""
-        mode = os.environ.get("REPRO_DP_FABRIC", "").strip().lower()
-        if mode in ("threads", "off"):
-            return None
-        if mode not in ("", "shm"):
-            raise ValueError(
-                f"unknown REPRO_DP_FABRIC value {mode!r}; "
-                "expected 'shm' or 'threads'"
-            )
         if batch_model.query.num_tables > _MAX_NUMPY_BITS:
             return None
         pool = None

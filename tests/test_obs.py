@@ -24,7 +24,7 @@ from repro.baselines.dp import ArenaDPOptimizer
 from repro.bench.runner import run_scenario
 from repro.bench.scenario import ScenarioScale, ScenarioSpec
 from repro.cost.model import MultiObjectiveCostModel
-from repro.dist.cache import CACHE_RAW_FORMAT, TaskCache
+from repro.dist.cache import TaskCache
 from repro.dist.worker import run_coordinated
 from repro.obs import (
     HISTOGRAM_BUCKETS,
@@ -459,12 +459,12 @@ class TestCoordinatorMetrics:
 class TestCorruptCacheEntries:
     def test_corrupt_raw_entry_warns_and_counts(self, tmp_path, caplog):
         cache = TaskCache(str(tmp_path / "cache"))
-        cache.put_raw("some-key", {"value": 1})
-        path = cache._entry_path("some-key")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{truncated garbage")
+        cache.put_raw_bytes("some-key", b"payload")
+        path = cache._entry_path_bin("some-key")
+        with open(path, "wb") as handle:
+            handle.write(b"{truncated garbage")
         with caplog.at_level(logging.WARNING, logger="repro.dist.cache"):
-            assert cache.get_raw("some-key") is None
+            assert cache.get_raw_bytes("some-key") is None
         assert any("corrupt entry" in message for message in caplog.messages)
         assert cache.metrics.counter("cache.corrupt_entries") == 1
         assert cache.stats["misses"] == 1
@@ -472,27 +472,27 @@ class TestCorruptCacheEntries:
 
     def test_foreign_format_counts_as_corrupt(self, tmp_path):
         cache = TaskCache(str(tmp_path / "cache"))
-        cache.put_raw("some-key", {"value": 1})
-        path = cache._entry_path("some-key")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"format": "other", "key": "some-key", "payload": {}}, handle)
-        assert cache.get_raw("some-key") is None
+        cache.put_raw_bytes("some-key", b"payload")
+        path = cache._entry_path_bin("some-key")
+        with open(path, "wb") as handle:
+            handle.write(b"other-format-v1\nsome-key\npayload")
+        assert cache.get_raw_bytes("some-key") is None
         assert cache.metrics.counter("cache.corrupt_entries") == 1
 
     def test_missing_entry_is_a_clean_miss(self, tmp_path):
         cache = TaskCache(str(tmp_path / "cache"))
-        assert cache.get_raw("absent") is None
+        assert cache.get_raw_bytes("absent") is None
         assert cache.metrics.counter("cache.corrupt_entries") == 0
         assert cache.stats["misses"] == 1
 
     def test_corrupt_entry_emits_trace_event(self, tmp_path):
         cache = TaskCache(str(tmp_path / "cache"))
-        cache.put_raw("k", {"value": 1})
-        with open(cache._entry_path("k"), "w", encoding="utf-8") as handle:
-            handle.write("nonsense")
+        cache.put_raw_bytes("k", b"payload")
+        with open(cache._entry_path_bin("k"), "wb") as handle:
+            handle.write(b"nonsense")
         tracer = obs.enable_tracing()
         try:
-            cache.get_raw("k")
+            cache.get_raw_bytes("k")
         finally:
             obs.disable_tracing()
         names = [event["name"] for event in tracer.events()]
@@ -500,8 +500,8 @@ class TestCorruptCacheEntries:
 
     def test_round_trip_still_works_and_counts_bytes(self, tmp_path):
         cache = TaskCache(str(tmp_path / "cache"))
-        cache.put_raw("k", {"value": [1, 2, 3]})
-        assert cache.get_raw("k") == {"value": [1, 2, 3]}
+        cache.put_raw_bytes("k", b"\x00\x01\x02")
+        assert cache.get_raw_bytes("k") == b"\x00\x01\x02"
         assert cache.metrics.counter("cache.bytes_read") > 0
         assert cache.metrics.counter("cache.bytes_written") > 0
 

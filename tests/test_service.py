@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.baselines.dp import SubsetEffects, accepted_dtype
 from repro.bench.runner import reduce_task_results
 from repro.bench.scenario import ScenarioScale, ScenarioSpec
 from repro.bench.tasks import _execute_task_group, schedule_tasks
@@ -45,7 +46,6 @@ from repro.dist.service import (
     start_service,
     submit_scenario,
 )
-from repro.dist.shm import SubsetEffects
 from repro.dist.transport import ExponentialBackoff, LeaseRenewer
 from repro.obs.metrics import Metrics
 from repro.query.join_graph import GraphShape
@@ -537,9 +537,12 @@ class TestSharedCache:
             assert_bit_identical(step_spec, sequential_result, results)
 
     def test_packed_effects_bytes_round_trip(self, tmp_path):
-        effects = SubsetEffects.from_split_effects(
-            [(3, [(1, 2, 0, 8.0, (1.5, float("inf")))]), (2, [])],
-            num_metrics=2,
+        # Split 0: 3 candidates, one accepted; split 1: 2 candidates, none.
+        effects = SubsetEffects(
+            np.asarray([3, 2], dtype="<i8"),
+            np.array(
+                [(0, 1, 2, 0, 8.0, (1.5, float("inf")))], dtype=accepted_dtype(2)
+            ),
         )
         payload = effects.to_bytes()
         with service(cache=TaskCache(str(tmp_path / "cache"))) as handle:

@@ -2,54 +2,60 @@
 
 Three layers, mirroring :mod:`repro.dist.shm`'s contract:
 
-* **Codec fidelity** — the legacy JSON effects codec and the packed-binary
-  :class:`SubsetEffects` codec round-trip float64 values *exactly* — NaN
-  and ±inf included — through one shared property test, and the binary
-  decoder rejects foreign/truncated payloads as cache misses.
-* **Kernel equivalence** — the fabric's vectorized insertion
-  (:func:`_insert_batch_approx`) and the driver's batched replay
-  (:meth:`ArenaPlanCache.replay_accept_batch`) are decision-identical to
-  the sequential reference kernels, property-tested over random batches,
-  α values, and non-finite costs.
+* **Codec fidelity** — the packed-binary :class:`SubsetEffects` codec
+  round-trips float64 values *exactly* — NaN and ±inf included — in memory
+  and through the task cache's binary tier, one shared property test for
+  both, and the decoder rejects foreign/truncated payloads as cache misses.
+* **Kernel equivalence** — the one insertion kernel (:func:`_insert_batch`
+  and its vectorized sweep :func:`_insert_batch_approx`) and the driver's
+  batched replay (:meth:`ArenaPlanCache.replay_accept_batch`) are
+  decision-identical to a scalar oracle, one row at a time through
+  :func:`_entry_covered` and :func:`_entry_append`, property-tested over
+  random batches, α values (α = 1 included), and non-finite costs.
 * **Fabric lifecycle** — publish → attach → refresh → unlink: segments
   grow under generation-bumped names, close() is idempotent, runs leak no
   ``/dev/shm`` segments (worker death included), and the thread fallback
-  (``REPRO_DP_FABRIC=threads``) is bit-identical to the fabric path.
+  (``ShmTaskFabric.create`` declining) is bit-identical to the fabric path.
 """
 
 import json
 import math
 import os
+import random
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.dp import ArenaDPOptimizer
+from repro.baselines.dp import (
+    EFFECTS_BYTES_FORMAT,
+    ArenaDPOptimizer,
+    SubsetEffects,
+    accepted_dtype,
+    pack_batches,
+)
 from repro.core.plan_cache import (
+    _PREFILTER_MIN_BATCH,
     ArenaPlanCache,
     FrontierSimulator,
     _ArenaEntry,
     _entry_append,
     _entry_covered,
+    _insert_batch,
     _insert_batch_approx,
-    _insert_batch_sequential,
 )
 from repro.cost.batch import BatchCostModel, CandidateBatch
+from repro.cost.model import MultiObjectiveCostModel
 from repro.dist.cache import TaskCache
-from repro.dist.dp import _effects_from_payload, _payload_from_effects
-from repro.dist.shm import (
-    EFFECTS_BYTES_FORMAT,
-    ShmTaskFabric,
-    SubsetEffects,
-    accepted_dtype,
-    pack_batches,
-)
+from repro.dist.shm import ShmTaskFabric
+from repro.query.generator import QueryGenerator
+from repro.query.join_graph import GraphShape
 
 #: Per-level pruning factors exercised by the equivalence properties —
-#: the α > 1 domain of the vectorized kernel plus the engine's inf cap.
-APPROX_ALPHAS = (1.01, 1.5, 2.0, 1e12)
+#: exact dominance, the α > 1 domain, and the engine's inf cap.
+ALPHAS = (1.0, 1.01, 1.5, 2.0, 1e12)
 
 #: Cost components, biased toward collisions (which drive evictions) and
 #: including every non-finite value the engines must agree on.
@@ -109,7 +115,7 @@ def _insert_case(draw):
         )
         return _batch_from(costs, tags)
 
-    alpha = draw(st.sampled_from(APPROX_ALPHAS))
+    alpha = draw(st.sampled_from(ALPHAS))
     return num_metrics, build(seed_size), build(batch_size), alpha
 
 
@@ -121,26 +127,41 @@ def _entry_state(entry):
     )
 
 
+def _insert_scalar(entry, batch, alpha, realize):
+    """Scalar oracle of the insertion kernel: one row at a time, in order."""
+    accepted = []
+    for position in range(batch.size):
+        row = batch.costs[position]
+        tag = int(batch.tags[position])
+        if _entry_covered(entry, tag, row, alpha):
+            continue
+        _entry_append(entry, realize(position), tag, row)
+        accepted.append(position)
+    return len(accepted), accepted
+
+
+def _seeded_entries(num_metrics, seed_batch, alpha):
+    """Reference and candidate entries holding the same seeded frontier."""
+    entries = (_ArenaEntry(num_metrics), _ArenaEntry(num_metrics))
+    for entry in entries:
+        _insert_scalar(entry, seed_batch, alpha, lambda position: -100 - position)
+    return entries
+
+
 # ---------------------------------------------------------------------------
-# Kernel equivalence: _insert_batch_approx == _insert_batch_sequential
+# Kernel equivalence: the insertion kernel == the scalar oracle
 # ---------------------------------------------------------------------------
 class TestInsertBatchApprox:
-    """The fabric's vectorized α > 1 insertion vs the sequential reference."""
+    """The vectorized per-accepted-row sweep vs the scalar oracle."""
 
     @given(case=_insert_case())
     @settings(max_examples=200, deadline=None)
     def test_decisions_and_frontier_bit_identical(self, case):
         num_metrics, seed_batch, batch, alpha = case
-        reference = _ArenaEntry(num_metrics)
-        candidate = _ArenaEntry(num_metrics)
-        for entry in (reference, candidate):
-            if seed_batch.size:
-                _insert_batch_sequential(
-                    entry, seed_batch, alpha, lambda position: -100 - position
-                )
+        reference, candidate = _seeded_entries(num_metrics, seed_batch, alpha)
         if batch.size == 0:
             return
-        expected = _insert_batch_sequential(
+        expected = _insert_scalar(
             reference, batch, alpha, lambda position: 1000 + position
         )
         actual = _insert_batch_approx(
@@ -160,11 +181,51 @@ class TestInsertBatchApprox:
             entry, batch, 2.0, lambda position: position
         )
         reference = _ArenaEntry(2)
-        expected_count, expected_positions = _insert_batch_sequential(
+        expected_count, expected_positions = _insert_scalar(
             reference, batch, 2.0, lambda position: position
         )
         assert (count, positions) == (expected_count, expected_positions)
         assert _entry_state(entry) == _entry_state(reference)
+
+
+class TestInsertBatchDispatch:
+    """``_insert_batch`` on both sides of the whole-batch threshold."""
+
+    @pytest.mark.parametrize(
+        "size",
+        [1, _PREFILTER_MIN_BATCH - 1, _PREFILTER_MIN_BATCH, 3 * _PREFILTER_MIN_BATCH],
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, size, data):
+        num_metrics = data.draw(st.integers(min_value=1, max_value=3))
+        alpha = data.draw(st.sampled_from(ALPHAS))
+        batches = []
+        for count in (data.draw(st.integers(min_value=0, max_value=10)), size):
+            costs = np.asarray(
+                data.draw(_rows_strategy(count, num_metrics)), dtype=np.float64
+            ).reshape(count, num_metrics)
+            tags = np.asarray(
+                data.draw(
+                    st.lists(
+                        st.integers(min_value=0, max_value=1),
+                        min_size=count,
+                        max_size=count,
+                    )
+                ),
+                dtype=np.int64,
+            )
+            batches.append(_batch_from(costs, tags))
+        seed_batch, batch = batches
+        reference, candidate = _seeded_entries(num_metrics, seed_batch, alpha)
+        expected = _insert_scalar(
+            reference, batch, alpha, lambda position: 1000 + position
+        )
+        actual = _insert_batch(
+            candidate, batch, alpha, lambda position: 1000 + position
+        )
+        assert actual == expected
+        assert _entry_state(candidate) == _entry_state(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +304,55 @@ class TestReplayAcceptBatch:
 
 
 # ---------------------------------------------------------------------------
-# Codec fidelity: JSON tier and packed-binary tier, one shared property
+# Codec fidelity: in memory and through the task cache, one shared property
 # ---------------------------------------------------------------------------
-def _roundtrip_json(per_split, num_metrics):
-    # json.dumps -> json.loads models the real wire/disk hop (it is what
-    # the legacy JSON task-cache tier and result transport do).
-    payload = json.loads(json.dumps(_payload_from_effects(per_split)))
-    return _effects_from_payload(payload)
+def _pack(per_split, num_metrics):
+    """SubsetEffects from ``(count, [(outer, inner, op, card, cost)])`` splits."""
+    dtype = accepted_dtype(num_metrics)
+    records = [
+        (index, outer, inner, op, card, cost)
+        for index, (_, accepted) in enumerate(per_split)
+        for outer, inner, op, card, cost in accepted
+    ]
+    return SubsetEffects(
+        np.asarray([count for count, _ in per_split], dtype="<i8"),
+        np.array(records, dtype=dtype),
+    )
+
+
+def _unpack(effects):
+    """The inverse of :func:`_pack`."""
+    per_split = []
+    for index in range(effects.num_splits):
+        count, records = effects.split(index)
+        accepted = [
+            (
+                int(record["outer"]),
+                int(record["inner"]),
+                int(record["op"]),
+                float(record["card"]),
+                tuple(float(value) for value in record["cost"]),
+            )
+            for record in records
+        ]
+        per_split.append((count, accepted))
+    return per_split
 
 
 def _roundtrip_binary(per_split, num_metrics):
-    packed = SubsetEffects.from_split_effects(per_split, num_metrics)
-    decoded = SubsetEffects.from_bytes(packed.to_bytes(), num_metrics)
-    return decoded.to_split_effects()
+    packed = _pack(per_split, num_metrics)
+    return _unpack(SubsetEffects.from_bytes(packed.to_bytes(), num_metrics))
+
+
+def _roundtrip_cache(per_split, num_metrics):
+    # The disk hop of the coordinator backend's task cache (.bin tier).
+    packed = _pack(per_split, num_metrics)
+    with tempfile.TemporaryDirectory() as root:
+        cache = TaskCache(root)
+        key = "ab" + "0" * 62
+        cache.put_raw_bytes(key, packed.to_bytes())
+        payload = cache.get_raw_bytes(key)
+    return _unpack(SubsetEffects.from_bytes(payload, num_metrics))
 
 
 def _normalize(per_split):
@@ -293,10 +390,10 @@ def _split_effects(draw):
 
 
 class TestEffectsCodecs:
-    """Both cache tiers must round-trip float64 exactly, specials included."""
+    """The packed codec must round-trip float64 exactly, specials included."""
 
     @pytest.mark.parametrize(
-        "roundtrip", [_roundtrip_json, _roundtrip_binary], ids=["json", "binary"]
+        "roundtrip", [_roundtrip_binary, _roundtrip_cache], ids=["binary", "cache"]
     )
     @given(case=_split_effects())
     @settings(max_examples=100, deadline=None)
@@ -317,13 +414,11 @@ class TestEffectsCodecs:
             ),
             (0, []),
         ]
-        for roundtrip in (_roundtrip_json, _roundtrip_binary):
+        for roundtrip in (_roundtrip_binary, _roundtrip_cache):
             assert _normalize(roundtrip(per_split, 2)) == _normalize(per_split)
 
     def test_from_bytes_rejects_foreign_payloads(self):
-        packed = SubsetEffects.from_split_effects(
-            [(3, [(0, 0, 0, 1.0, (1.0, 2.0))])], 2
-        )
+        packed = _pack([(3, [(0, 0, 0, 1.0, (1.0, 2.0))])], 2)
         data = packed.to_bytes()
         with pytest.raises(ValueError):
             SubsetEffects.from_bytes(b"no header newline", 2)
@@ -345,17 +440,13 @@ class TestEffectsCodecs:
 
     def test_binary_cache_tier_roundtrip(self, tmp_path):
         cache = TaskCache(str(tmp_path / "cache"))
-        packed = SubsetEffects.from_split_effects(
-            [(2, [(0, 1, 2, float("nan"), (float("inf"), 0.5))])], 2
-        )
+        packed = _pack([(2, [(0, 1, 2, float("nan"), (float("inf"), 0.5))])], 2)
         key = "ab" + "0" * 62
         cache.put_raw_bytes(key, packed.to_bytes())
         payload = cache.get_raw_bytes(key)
         assert payload is not None
         decoded = SubsetEffects.from_bytes(payload, 2)
-        assert _normalize(decoded.to_split_effects()) == _normalize(
-            packed.to_split_effects()
-        )
+        assert _normalize(_unpack(decoded)) == _normalize(_unpack(packed))
         assert cache.get_raw_bytes("cd" + "1" * 62) is None
         assert cache.stats["hits"] == 1
         assert cache.stats["misses"] == 1
@@ -367,24 +458,16 @@ class TestEffectsCodecs:
 def _scalar_accepts(batches, num_metrics, alpha):
     """Independent scalar reference of pack_batches' accept decisions."""
     entry = _ArenaEntry(num_metrics)
-    per_batch = []
-    for batch in batches:
-        accepted = []
-        for position in range(batch.size):
-            row = batch.costs[position]
-            tag = int(batch.tags[position])
-            if _entry_covered(entry, tag, row, alpha):
-                continue
-            _entry_append(entry, object(), tag, row)
-            accepted.append(position)
-        per_batch.append(accepted)
-    return per_batch
+    return [
+        _insert_scalar(entry, batch, alpha, lambda position: object())[1]
+        for batch in batches
+    ]
 
 
 class TestPackBatches:
     @given(
         num_metrics=st.integers(min_value=1, max_value=3),
-        alpha=st.sampled_from((1.0,) + APPROX_ALPHAS),
+        alpha=st.sampled_from(ALPHAS),
         data=st.data(),
     )
     @settings(max_examples=75, deadline=None)
@@ -497,15 +580,20 @@ def _table_state(optimizer):
     }
 
 
+def _decline_fabric(monkeypatch):
+    """Force the coordinator backend onto its in-process thread fallback."""
+    monkeypatch.setattr(
+        ShmTaskFabric, "create", classmethod(lambda cls, *args, **kwargs: None)
+    )
+
+
 class TestFabricLifecycle:
-    def test_env_gates_fabric_creation(self, chain_model, monkeypatch):
-        batch_model = BatchCostModel(chain_model)
-        for mode in ("threads", "off", "THREADS "):
-            monkeypatch.setenv("REPRO_DP_FABRIC", mode)
-            assert ShmTaskFabric.create(batch_model, 2) is None
-        monkeypatch.setenv("REPRO_DP_FABRIC", "ray")
-        with pytest.raises(ValueError, match="REPRO_DP_FABRIC"):
-            ShmTaskFabric.create(batch_model, 2)
+    def test_declines_beyond_62_tables(self):
+        query = QueryGenerator(rng=random.Random(7)).generate(63, GraphShape.CHAIN)
+        batch_model = BatchCostModel(
+            MultiObjectiveCostModel(query, metrics=("time",))
+        )
+        assert ShmTaskFabric.create(batch_model, 2) is None
 
     def test_segment_growth_bumps_generation(self, chain_model):
         fabric = ShmTaskFabric.create(BatchCostModel(chain_model), 1)
@@ -611,12 +699,11 @@ class TestFabricLifecycle:
         assert not set(fabric.segment_names) & _shm_segments()
 
     def test_threads_fallback_bit_identical(self, chain_model, monkeypatch):
-        monkeypatch.setenv("REPRO_DP_FABRIC", "threads")
+        _decline_fabric(monkeypatch)
         fallback = ArenaDPOptimizer(
             chain_model, alpha=1.01, backend="coordinator", workers=2
         )
         assert fallback._fabric is None
-        monkeypatch.delenv("REPRO_DP_FABRIC")
         sequential = ArenaDPOptimizer(chain_model, alpha=1.01)
         _run_to_completion(fallback)
         _run_to_completion(sequential)
