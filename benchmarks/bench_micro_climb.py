@@ -1,4 +1,4 @@
-"""Micro-benchmarks M1 (DESIGN.md): complexity sanity checks for ParetoClimb.
+"""Micro-benchmarks: complexity sanity checks for ParetoClimb.
 
 * ``test_pareto_step_scaling`` measures one ParetoStep on 10- vs 40-table
   plans; per Lemma 2 the cost grows roughly linearly in the number of plan
@@ -13,25 +13,28 @@ import random
 import statistics
 import time
 
-from repro.core.pareto_climb import ParetoClimber
-from repro.core.random_plans import RandomPlanGenerator
+from repro.core.pareto_climb import ArenaParetoClimber
+from repro.core.random_plans import ArenaRandomPlanGenerator
+from repro.cost.batch import BatchCostModel
 from repro.cost.model import MultiObjectiveCostModel
 from repro.query.generator import QueryGenerator
 from repro.query.join_graph import GraphShape
 
 
-def _model(num_tables, seed=1):
+def _batch_model(num_tables, seed=1):
     query = QueryGenerator(rng=random.Random(seed)).generate(num_tables, GraphShape.CHAIN)
-    return MultiObjectiveCostModel(query, metrics=("time", "buffer", "disk"))
+    return BatchCostModel(MultiObjectiveCostModel(query, metrics=("time", "buffer", "disk")))
 
 
 def _time_step(num_tables, repetitions=5):
-    model = _model(num_tables)
-    generator = RandomPlanGenerator(model, random.Random(2))
-    climber = ParetoClimber(model)
+    model = _batch_model(num_tables)
+    generator = ArenaRandomPlanGenerator(model, random.Random(2))
     plans = [generator.random_bushy_plan() for _ in range(repetitions)]
+    # A fresh climber per plan: ParetoStep memoizes per handle, and shared
+    # sub-plans must not turn later steps into memo hits.
+    climbers = [ArenaParetoClimber(model) for _ in plans]
     started = time.perf_counter()
-    for plan in plans:
+    for climber, plan in zip(climbers, plans):
         climber.pareto_step(plan)
     return (time.perf_counter() - started) / repetitions
 
@@ -51,9 +54,9 @@ def test_climb_path_length_growth(benchmark):
     def measure():
         medians = {}
         for num_tables in (5, 15, 30):
-            model = _model(num_tables, seed=3)
-            generator = RandomPlanGenerator(model, random.Random(4))
-            climber = ParetoClimber(model)
+            model = _batch_model(num_tables, seed=3)
+            generator = ArenaRandomPlanGenerator(model, random.Random(4))
+            climber = ArenaParetoClimber(model)
             lengths = [climber.climb(generator.random_bushy_plan()).path_length for _ in range(5)]
             medians[num_tables] = statistics.median(lengths)
         return medians
@@ -65,7 +68,7 @@ def test_climb_path_length_growth(benchmark):
 
 
 def test_random_plan_generation(benchmark):
-    model = _model(50, seed=5)
-    generator = RandomPlanGenerator(model, random.Random(6))
+    model = _batch_model(50, seed=5)
+    generator = ArenaRandomPlanGenerator(model, random.Random(6))
     plan = benchmark(generator.random_bushy_plan)
-    assert plan.rel == model.query.relations
+    assert model.arena.rel(plan) == model.query.relations

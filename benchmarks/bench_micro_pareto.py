@@ -36,19 +36,13 @@ coordinator (1 worker, 2 workers) plus a cold-vs-warm ``TaskCache`` run,
 verifies every mode agrees bit-for-bit with executing each leaf in
 schedule order, and writes ``BENCH_coordinator.json``.
 
-The *RMQ* section measures end-to-end RMQ iteration throughput on the
-10-table / 3-metric micro workload (compressed α schedule, the figure
-pipeline's configuration) under the ``object`` and ``arena`` plan engines,
-asserts the two frontiers are bit-identical, and writes ``BENCH_rmq.json``.
-The headline target is arena ≥ 5× object.
-
 The *DP* section measures end-to-end DP(α) throughput on an 8-table chain
-with 3 metrics and α = 2 — the full 3^8 subset-split lattice — under the
-``object`` engine, the ``arena`` engine, and the arena engine's
-coordinator backend over the shared-memory task fabric with 1, 2, and 4
-workers, asserts all modes are bit-identical, and writes ``BENCH_dp.json``
-(including per-worker-count ``parallel_efficiency``).  The headline
-targets are arena ≥ 5× object and 4-worker coordinator ≥ 1.5× arena.
+with 3 metrics and α = 2 — the full 3^8 subset-split lattice — on the
+sequential backend and on the coordinator backend over the shared-memory
+task fabric with 1, 2, and 4 workers, asserts all modes are bit-identical,
+and writes ``BENCH_dp.json`` (including per-worker-count
+``parallel_efficiency``).  The headline target is 4-worker coordinator ≥
+1.5× sequential.
 
 Run as a script (``python benchmarks/bench_micro_pareto.py``) or via pytest
 (``pytest benchmarks/bench_micro_pareto.py``).
@@ -72,7 +66,6 @@ RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_pareto.json")
 FRONTIER_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_frontier.json")
 RUNNER_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_runner.json")
 COORDINATOR_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_coordinator.json")
-RMQ_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_rmq.json")
 DP_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_dp.json")
 
 NUM_VECTORS = 1000
@@ -539,131 +532,17 @@ def test_coordinator_throughput_recorded():
 
 
 # ---------------------------------------------------------------------------
-# RMQ end-to-end throughput (object vs. arena plan engine)
-# ---------------------------------------------------------------------------
-#: The 10-table / 3-metric micro workload: one random chain query, RMQ with
-#: the compressed α schedule (what the figure pipeline runs), 400 iterations.
-RMQ_NUM_TABLES = 10
-RMQ_NUM_METRICS = 3
-RMQ_ITERATIONS = 400
-RMQ_TARGET_SPEEDUP = 5.0
-
-
-def _rmq_workload():
-    from repro.cost.model import MultiObjectiveCostModel
-    from repro.query.generator import QueryGenerator
-    from repro.query.join_graph import GraphShape
-
-    query = QueryGenerator(rng=random.Random(SEED)).generate(
-        RMQ_NUM_TABLES, GraphShape.CHAIN
-    )
-    return MultiObjectiveCostModel(query, metrics=("time", "buffer", "disk"))
-
-
-def _run_rmq(model, engine: str):
-    from repro.core.frontier import AlphaSchedule
-    from repro.core.rmq import RMQOptimizer
-
-    optimizer = RMQOptimizer(
-        model,
-        rng=random.Random(SEED + 1),
-        engine=engine,
-        schedule=AlphaSchedule.compressed(),
-    )
-    started = timeit.default_timer()
-    optimizer.run(max_steps=RMQ_ITERATIONS)
-    elapsed = timeit.default_timer() - started
-    frontier = sorted(plan.cost for plan in optimizer.frontier())
-    return elapsed, frontier, optimizer.statistics.plans_built
-
-
-def run_rmq_benchmark(write_json: bool = True) -> Dict[str, object]:
-    """Measure end-to-end RMQ iteration throughput per plan engine.
-
-    Both engines run the identical seeded workload; their frontiers (and
-    work counters) must be bit-identical, which is asserted before the
-    timing numbers are recorded.
-    """
-    model = _rmq_workload()
-    seconds: Dict[str, float] = {}
-    frontiers: Dict[str, list] = {}
-    plans_built: Dict[str, int] = {}
-    for engine in ("object", "arena"):
-        seconds[engine], frontiers[engine], plans_built[engine] = _run_rmq(
-            model, engine
-        )
-    assert frontiers["arena"] == frontiers["object"], (
-        "plan engines disagree on the RMQ frontier"
-    )
-    assert plans_built["arena"] == plans_built["object"], (
-        "plan engines disagree on the work counter"
-    )
-    report: Dict[str, object] = {
-        "num_tables": RMQ_NUM_TABLES,
-        "num_metrics": RMQ_NUM_METRICS,
-        "iterations": RMQ_ITERATIONS,
-        "schedule": "compressed",
-        "seed": SEED,
-        "frontier_size": len(frontiers["object"]),
-        "plans_built": plans_built["object"],
-        "seconds": seconds,
-        "iterations_per_second": {
-            engine: RMQ_ITERATIONS / elapsed for engine, elapsed in seconds.items()
-        },
-        "speedup_arena_vs_object": seconds["object"] / seconds["arena"],
-        "target_speedup": RMQ_TARGET_SPEEDUP,
-    }
-    if write_json:
-        with open(RMQ_RESULT_PATH, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
-
-
-def _format_rmq_report(report: Dict[str, object]) -> str:
-    rates = report["iterations_per_second"]
-    return "\n".join(
-        [
-            f"RMQ end-to-end throughput micro-benchmark "
-            f"({report['num_tables']} tables, {report['num_metrics']} metrics, "
-            f"{report['iterations']} iterations, compressed schedule):",
-            f"  object engine {rates['object']:8.2f} it/s",
-            f"  arena engine  {rates['arena']:8.2f} it/s "
-            f"({report['speedup_arena_vs_object']:.2f}x, "
-            f"target {report['target_speedup']:.0f}x)",
-            f"  frontier size {report['frontier_size']}, "
-            f"plans built {report['plans_built']} (bit-identical engines)",
-        ]
-    )
-
-
-def test_rmq_arena_speedup_recorded():
-    """The arena engine must clearly beat the object engine on RMQ.
-
-    The headline number (≥ 5× on this machine class) is recorded in
-    ``BENCH_rmq.json``; the assertion uses a lower bar so the check stays
-    robust on loaded CI runners.  Frontier bit-identity across engines is
-    asserted inside the benchmark.
-    """
-    report = run_rmq_benchmark()
-    print()
-    print(_format_rmq_report(report))
-    assert report["speedup_arena_vs_object"] > 2.5
-
-
-# ---------------------------------------------------------------------------
-# DP(α) end-to-end throughput (object vs. arena engine, + coordinator)
+# DP(α) end-to-end throughput (sequential vs. coordinator backend)
 # ---------------------------------------------------------------------------
 #: The DP micro workload: one random 8-table chain query, 3 metrics, α = 2
 #: (a figure-grid configuration).  The full lattice is 3^8 split tasks and
 #: ~1.1M candidate plans — large enough that per-candidate overheads, not
-#: constant setup, dominate both engines.
+#: constant setup, dominate every mode.
 DP_NUM_TABLES = 8
 DP_NUM_METRICS = 3
 DP_ALPHA = 2.0
-DP_TARGET_SPEEDUP = 5.0
 #: Shared-memory fabric acceptance bar: 4-worker coordinator throughput
-#: relative to the sequential arena engine on the same workload.
+#: relative to the sequential backend on the same workload.
 DP_COORDINATOR_TARGET_SPEEDUP = 1.5
 
 
@@ -679,11 +558,11 @@ def _dp_workload():
 
 
 def _run_dp(model, repeats: int = 1, **kwargs):
-    from repro.baselines.dp import make_dp_optimizer
+    from repro.baselines.dp import ArenaDPOptimizer
 
     best = float("inf")
     for _ in range(repeats):
-        optimizer = make_dp_optimizer(
+        optimizer = ArenaDPOptimizer(
             model, alpha=DP_ALPHA, tasks_per_step=1000, **kwargs
         )
         started = timeit.default_timer()
@@ -696,57 +575,48 @@ def _run_dp(model, repeats: int = 1, **kwargs):
 
 
 def run_dp_benchmark(write_json: bool = True) -> Dict[str, object]:
-    """Measure end-to-end DP(α) throughput per plan engine.
+    """Measure end-to-end DP(α) throughput per backend.
 
-    Runs the identical workload through the object engine, the arena
-    engine, and the arena engine's 2-worker coordinator backend; all three
-    frontiers and work counters must be bit-identical, which is asserted
-    before the timing numbers are recorded.  The lattice is big enough that
-    a single timed run per mode is stable.
+    Runs the identical workload on the sequential backend and on the
+    coordinator backend with 1, 2 and 4 workers; all frontiers and work
+    counters must be bit-identical, which is asserted before the timing
+    numbers are recorded.  Each mode takes the best of two runs so
+    scheduler noise cannot invert the recorded ratios.
     """
     model = _dp_workload()
     seconds: Dict[str, float] = {}
     frontiers: Dict[str, list] = {}
     plans_built: Dict[str, int] = {}
     coordinator_workers = (1, 2, 4)
-    modes = [
-        ("object", dict(engine="object")),
-        ("arena", dict(engine="arena")),
-    ] + [
+    modes = [("arena", {})] + [
         (f"arena_coordinator_{count}_workers",
-         dict(engine="arena", backend="coordinator", workers=count))
+         dict(backend="coordinator", workers=count))
         for count in coordinator_workers
     ]
     for name, kwargs in modes:
-        # The object engine's single run is long enough to be stable; the
-        # faster modes take the best of two so scheduler noise cannot
-        # invert the recorded ratios.
-        repeats = 1 if name == "object" else 2
         seconds[name], frontiers[name], plans_built[name] = _run_dp(
-            model, repeats=repeats, **kwargs
+            model, repeats=2, **kwargs
         )
     for name, _ in modes[1:]:
-        assert frontiers[name] == frontiers["object"], (
-            f"DP mode {name!r} disagrees with the object engine on the frontier"
+        assert frontiers[name] == frontiers["arena"], (
+            f"DP mode {name!r} disagrees with the sequential backend on the frontier"
         )
-        assert plans_built[name] == plans_built["object"], (
+        assert plans_built[name] == plans_built["arena"], (
             f"DP mode {name!r} disagrees on the work counter"
         )
     rates = {
-        name: plans_built["object"] / elapsed for name, elapsed in seconds.items()
+        name: plans_built["arena"] / elapsed for name, elapsed in seconds.items()
     }
     report: Dict[str, object] = {
         "num_tables": DP_NUM_TABLES,
         "num_metrics": DP_NUM_METRICS,
         "alpha": DP_ALPHA,
         "seed": SEED,
-        "frontier_size": len(frontiers["object"]),
-        "plans_built": plans_built["object"],
+        "frontier_size": len(frontiers["arena"]),
+        "plans_built": plans_built["arena"],
         "seconds": seconds,
         "plans_per_second": rates,
-        "speedup_arena_vs_object": seconds["object"] / seconds["arena"],
-        "target_speedup": DP_TARGET_SPEEDUP,
-        # Coordinator throughput relative to the sequential arena engine
+        # Coordinator throughput relative to the sequential backend
         # (the fabric's acceptance bar is the 4-worker ratio), plus the
         # classic per-worker efficiency of the same ratio.  On a single
         # hardware thread the ratio above 1.0 is pipeline efficiency, not
@@ -778,10 +648,7 @@ def _format_dp_report(report: Dict[str, object]) -> str:
         f"({report['num_tables']}-table chain, {report['num_metrics']} "
         f"metrics, alpha={report['alpha']}, "
         f"{report['plans_built']} candidate plans):",
-        f"  object engine          {rates['object']:12.0f} plans/s",
-        f"  arena engine           {rates['arena']:12.0f} plans/s "
-        f"({report['speedup_arena_vs_object']:.2f}x, "
-        f"target {report['target_speedup']:.0f}x)",
+        f"  sequential             {rates['arena']:12.0f} plans/s",
     ]
     for key, speedup in report["speedup_coordinator_vs_arena"].items():
         count = key.split("_")[0]
@@ -789,7 +656,7 @@ def _format_dp_report(report: Dict[str, object]) -> str:
         lines.append(
             f"  arena + {count}-worker coord "
             f"{rates[f'arena_coordinator_{count}_workers']:12.0f} plans/s "
-            f"({speedup:.2f}x arena, efficiency {efficiency:.2f})"
+            f"({speedup:.2f}x sequential, efficiency {efficiency:.2f})"
         )
     lines.append(
         f"  frontier size {report['frontier_size']} "
@@ -799,18 +666,16 @@ def _format_dp_report(report: Dict[str, object]) -> str:
 
 
 def test_dp_arena_speedup_recorded():
-    """The arena DP engine must clearly beat the object engine.
+    """The 4-worker coordinator backend must beat the sequential backend.
 
-    The headline numbers — arena ≥ 5× object, 4-worker coordinator ≥ 1.5×
-    sequential arena — are recorded in ``BENCH_dp.json``; the assertions
-    use lower bars so the check stays robust on loaded CI runners.
-    Frontier and work-counter bit-identity across engines and the
-    coordinator backend is asserted inside the benchmark.
+    The headline number (4-worker coordinator ≥ 1.5× sequential) is
+    recorded in ``BENCH_dp.json``; the assertion uses a lower bar so the
+    check stays robust on loaded CI runners.  Frontier and work-counter
+    bit-identity across the backends is asserted inside the benchmark.
     """
     report = run_dp_benchmark()
     print()
     print(_format_dp_report(report))
-    assert report["speedup_arena_vs_object"] > 2.5
     assert report["speedup_coordinator_vs_arena"]["4_workers"] > 1.0
 
 
@@ -827,9 +692,6 @@ def main() -> int:
     coordinator_report = run_coordinator_benchmark()
     print(_format_coordinator_report(coordinator_report))
     print(f"[results written to {COORDINATOR_RESULT_PATH}]")
-    rmq_report = run_rmq_benchmark()
-    print(_format_rmq_report(rmq_report))
-    print(f"[results written to {RMQ_RESULT_PATH}]")
     dp_report = run_dp_benchmark()
     print(_format_dp_report(dp_report))
     print(f"[results written to {DP_RESULT_PATH}]")

@@ -15,8 +15,8 @@ All stores keep exactly the same frontier; the indexed tiers only answer
 the dominance queries faster once frontiers get large.
 
 Finally it runs the **vectorized DP reference** (``ArenaDPOptimizer``, see
-``docs/ARCHITECTURE.md``) to completion at table counts where the
-object-engine DP was effectively unreachable: the arena engine pushes
+``docs/ARCHITECTURE.md``) to completion at table counts where a DP over
+``Plan`` objects was effectively unreachable: the arena engine pushes
 millions of candidate plans through per-subset batch kernels, so coarse
 DP(α) guarantees become available as references for mid-size queries
 instead of stopping at figure-grid sizes.
@@ -42,7 +42,8 @@ import time
 
 from repro import GraphShape, MultiObjectiveCostModel, QueryGenerator, RMQOptimizer
 from repro.core.frontier import AlphaSchedule
-from repro.core.random_plans import RandomPlanGenerator
+from repro.core.random_plans import ArenaRandomPlanGenerator
+from repro.cost.batch import BatchCostModel
 from repro.pareto import pareto_filter
 from repro.utils.rng import derive_rng
 
@@ -51,12 +52,13 @@ def compare_frontier_stores(
     cost_model: MultiObjectiveCostModel, seed: int, num_plans: int = 2000
 ) -> None:
     """Pareto-filter many random-plan cost vectors once per frontier store."""
-    generator = RandomPlanGenerator(cost_model, derive_rng(seed, "store-demo"))
+    batch_model = BatchCostModel(cost_model)
+    generator = ArenaRandomPlanGenerator(batch_model, derive_rng(seed, "store-demo"))
     costs = []
     skipped = 0
     for _ in range(num_plans):
         try:
-            costs.append(generator.random_bushy_plan().cost)
+            costs.append(batch_model.arena.cost(generator.random_bushy_plan()))
         except OverflowError:
             # A purely random bushy plan over ~100 tables can push an
             # intermediate cardinality past float range; the optimizer never
@@ -89,9 +91,9 @@ def compare_frontier_stores(
 
 def dp_reference_scaling(seed: int, dp_tables, dp_alpha: float) -> None:
     """Run the arena DP(α) scheme to completion at each table count."""
-    from repro.baselines.dp import make_dp_optimizer
+    from repro.baselines.dp import ArenaDPOptimizer
 
-    first = make_dp_optimizer(
+    first = ArenaDPOptimizer(
         MultiObjectiveCostModel(
             QueryGenerator(rng=derive_rng(seed, "dp-query", dp_tables[0])).generate(
                 dp_tables[0], GraphShape.STAR
@@ -108,7 +110,7 @@ def dp_reference_scaling(seed: int, dp_tables, dp_alpha: float) -> None:
             num_tables, GraphShape.STAR
         )
         cost_model = MultiObjectiveCostModel(query, metrics=("time", "buffer", "disk"))
-        optimizer = make_dp_optimizer(cost_model, alpha=dp_alpha, tasks_per_step=2000)
+        optimizer = ArenaDPOptimizer(cost_model, alpha=dp_alpha, tasks_per_step=2000)
         started = time.perf_counter()
         while not optimizer.finished:
             optimizer.step()

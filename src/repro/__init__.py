@@ -58,13 +58,9 @@ from repro.pareto import (
 from repro.core import (
     AlphaSchedule,
     AnytimeOptimizer,
-    ParetoClimber,
-    PlanCache,
-    RandomPlanGenerator,
     RMQOptimizer,
 )
 from repro.baselines import (
-    DPOptimizer,
     IterativeImprovementOptimizer,
     NSGA2Optimizer,
     SimulatedAnnealingOptimizer,
@@ -108,13 +104,9 @@ __all__ = [
     "hypervolume",
     # core algorithm
     "RMQOptimizer",
-    "ParetoClimber",
-    "PlanCache",
     "AlphaSchedule",
-    "RandomPlanGenerator",
     "AnytimeOptimizer",
     # baselines
-    "DPOptimizer",
     "IterativeImprovementOptimizer",
     "SimulatedAnnealingOptimizer",
     "TwoPhaseOptimizer",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Tuple
 
-from repro.baselines.dp import ArenaDPOptimizer, DPOptimizer, make_dp_optimizer
+from repro.baselines.dp import ArenaDPOptimizer
 from repro.baselines.iterative_improvement import IterativeImprovementOptimizer
 from repro.baselines.nsga2 import NSGA2Optimizer
 from repro.baselines.random_sampling import RandomSamplingOptimizer
@@ -37,8 +37,6 @@ from repro.cost.model import MultiObjectiveCostModel
 
 __all__ = [
     "ArenaDPOptimizer",
-    "DPOptimizer",
-    "make_dp_optimizer",
     "IterativeImprovementOptimizer",
     "SimulatedAnnealingOptimizer",
     "TwoPhaseOptimizer",
@@ -70,12 +68,10 @@ _REGISTRY: Dict[str, _OptimizerBuilder] = {
     "SA": lambda model, rng: SimulatedAnnealingOptimizer(model, rng=rng),
     "2P": lambda model, rng: TwoPhaseOptimizer(model, rng=rng),
     "NSGA-II": lambda model, rng: NSGA2Optimizer(model, rng=rng),
-    # DP entries resolve their engine through the engine="arena" /
-    # REPRO_PLAN_ENGINE convention, like every arena-backed algorithm.
-    "DP(Infinity)": lambda model, rng: make_dp_optimizer(model, alpha=float("inf")),
-    "DP(1000)": lambda model, rng: make_dp_optimizer(model, alpha=1000.0),
-    "DP(2)": lambda model, rng: make_dp_optimizer(model, alpha=2.0),
-    "DP(1.01)": lambda model, rng: make_dp_optimizer(model, alpha=1.01),
+    "DP(Infinity)": lambda model, rng: ArenaDPOptimizer(model, alpha=float("inf")),
+    "DP(1000)": lambda model, rng: ArenaDPOptimizer(model, alpha=1000.0),
+    "DP(2)": lambda model, rng: ArenaDPOptimizer(model, alpha=2.0),
+    "DP(1.01)": lambda model, rng: ArenaDPOptimizer(model, alpha=1.01),
     "WeightedSum": lambda model, rng: WeightedSumOptimizer(model, rng=rng),
     "RandomSampling": lambda model, rng: RandomSamplingOptimizer(model, rng=rng),
     # RMQ ablation variants (used by the ablation benchmarks).

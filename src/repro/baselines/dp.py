@@ -12,29 +12,20 @@ factor is ``α^(1/(n-1))`` (errors compound once per join level, and a plan
 for ``n`` tables has ``n - 1`` joins), following the approach of the
 original approximation scheme.
 
-Two engines implement the scheme:
+Subsets are int bitsets, the (left, right) splits of a subset are
+enumerated as NumPy index arrays, and one reduction pipeline
+(:func:`reduce_subset`) costs all of a subset's candidate joins (cross
+products of the cached sub-frontiers × applicable operators) in one
+:meth:`~repro.cost.batch.BatchCostModel.join_candidates_multi` call, decides
+them through the plan cache's insertion kernel on a
+:class:`~repro.core.plan_cache.FrontierSimulator`, and packs the accepted
+rows as :class:`SubsetEffects`, which ``step()`` replays.  The
+``backend="coordinator"`` path runs the same reducer for a whole subset
+level across lease-based workers (see :mod:`repro.dist.dp`); frontiers,
+statistics and step boundaries do not depend on the backend, the worker
+count, worker death or the task-cache state (``tests/test_dp_arena.py``).
 
-* :class:`DPOptimizer` — the original ``Plan``-object implementation, kept
-  as the property-tested scalar reference;
-* :class:`ArenaDPOptimizer` — the columnar engine: subsets are int bitsets,
-  the (left, right) splits of a subset are enumerated as NumPy index
-  arrays, and one reduction pipeline (:func:`reduce_subset`) costs all of a
-  subset's candidate joins (cross products of the cached sub-frontiers ×
-  applicable operators) in one
-  :meth:`~repro.cost.batch.BatchCostModel.join_candidates_multi` call,
-  decides them through the plan cache's insertion kernel on a
-  :class:`~repro.core.plan_cache.FrontierSimulator`, and packs the accepted
-  rows as :class:`SubsetEffects`, which ``step()`` replays.  Frontiers,
-  statistics, and step boundaries are bit-identical to the object engine
-  (``tests/test_dp_arena.py``).  The ``backend="coordinator"`` path runs
-  the same reducer for a whole subset level across lease-based workers (see
-  :mod:`repro.dist.dp`), still bit-identical — including under injected
-  worker death and warm/cold task caches.
-
-:func:`make_dp_optimizer` picks the engine through the library-wide
-``engine=`` / ``REPRO_PLAN_ENGINE`` convention (arena by default).
-
-Both optimizers are anytime in the weak sense of the paper's evaluation:
+The optimizer is anytime in the weak sense of the paper's evaluation:
 ``step()`` processes a bounded batch of subset-combination tasks, but
 :meth:`frontier` stays empty until the full table set has been processed —
 exactly how the DP baselines behave in Figures 1–7, where they produce no
@@ -61,17 +52,10 @@ from typing import (
 import numpy as np
 
 from repro.core.interface import AnytimeOptimizer
-from repro.core.plan_cache import (
-    ArenaPlanCache,
-    FrontierSimulator,
-    PlanCache,
-    record_insertions,
-)
+from repro.core.plan_cache import ArenaPlanCache, FrontierSimulator, record_insertions
 from repro.cost.batch import BatchCostModel, CandidateBatch
 from repro.cost.model import MultiObjectiveCostModel
 from repro.obs import get_tracer, global_metrics
-from repro.plans.arena import resolve_plan_engine
-from repro.plans.operators import JoinOperator
 from repro.plans.plan import Plan
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
@@ -82,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
 #: with zero-valued cost components stays well defined.
 _ALPHA_CAP = 1e12
 
-#: Execution backends of the arena DP engine.
+#: Execution backends of the DP.
 DP_BACKENDS = ("sequential", "coordinator")
 
 #: Subsets holding a table index at or above this enumerate their splits
@@ -112,137 +96,6 @@ def _validate_parameters(alpha: float, tasks_per_step: int) -> None:
         raise ValueError(f"approximation factor must be at least 1, got {alpha}")
     if tasks_per_step < 1:
         raise ValueError("tasks_per_step must be positive")
-
-
-class DPOptimizer(AnytimeOptimizer):
-    """Multi-objective dynamic programming with α-approximate pruning.
-
-    This is the object-engine reference implementation; see
-    :class:`ArenaDPOptimizer` for the vectorized twin and
-    :func:`make_dp_optimizer` for engine selection.
-
-    Parameters
-    ----------
-    cost_model:
-        Cost model / plan factory for the query.
-    alpha:
-        Overall approximation-factor target (≥ 1); ``float('inf')`` keeps a
-        single plan per subset and output format.
-    tasks_per_step:
-        Number of subset-combination tasks processed per :meth:`step` call;
-        bounds the work done between anytime checkpoints.
-    """
-
-    def __init__(
-        self,
-        cost_model: MultiObjectiveCostModel,
-        alpha: float = 2.0,
-        tasks_per_step: int = 50,
-    ) -> None:
-        super().__init__(cost_model)
-        _validate_parameters(alpha, tasks_per_step)
-        self.name = f"DP({_format_alpha(alpha)})"
-        self._alpha = min(alpha, _ALPHA_CAP)
-        self._tasks_per_step = tasks_per_step
-        self._cache = PlanCache()
-        self._finished = False
-        self._level_alpha = _level_alpha_for(self._alpha, cost_model.query.num_tables)
-        # Operator applicability depends only on the two input formats, so
-        # level sweeps memoize the library lookup per format pair instead of
-        # re-deriving it for every candidate plan pair.
-        self._join_operators_memo: Dict[object, Tuple[JoinOperator, ...]] = {}
-        # Scan plans are seeded at construction — identically ordered in
-        # both engines — so their ``plans_built`` are charged here, not to
-        # whichever step() happens to pull the first generator item.
-        for table_index in sorted(self.query.relations):
-            self._seed_scans(table_index)
-        self._tasks = self._task_generator()
-
-    # ------------------------------------------------------------ accessors
-    @property
-    def alpha(self) -> float:
-        """Overall approximation-factor target."""
-        return self._alpha
-
-    @property
-    def level_alpha(self) -> float:
-        """Per-join pruning factor derived from the overall target."""
-        return self._level_alpha
-
-    @property
-    def plan_cache(self) -> PlanCache:
-        """The DP table: partial plans per table subset."""
-        return self._cache
-
-    @property
-    def finished(self) -> bool:
-        """Whether every subset has been processed."""
-        return self._finished
-
-    # ------------------------------------------------------------- protocol
-    def step(self) -> None:
-        """Process a bounded batch of subset-combination tasks."""
-        if self._finished:
-            return
-        for _ in range(self._tasks_per_step):
-            try:
-                left, right = next(self._tasks)
-            except StopIteration:
-                self._finished = True
-                break
-            self._combine(left, right)
-        self.statistics.steps += 1
-
-    def frontier(self) -> List[Plan]:
-        """Plans for the full query table set (empty until DP completes it)."""
-        return self._cache.plans(self.query.relations)
-
-    # ------------------------------------------------------------ internals
-    def _task_generator(self) -> Iterator[Tuple[FrozenSet[int], FrozenSet[int]]]:
-        """Lazily yield (outer set, inner set) combination tasks, bottom-up.
-
-        Subsets are enumerated by increasing size so that all sub-results
-        exist when a task runs (single-table subsets were seeded with scan
-        plans at construction).
-        """
-        tables = sorted(self.query.relations)
-        for size in range(2, len(tables) + 1):
-            for subset in combinations(tables, size):
-                subset_set = frozenset(subset)
-                # Enumerate every ordered split into two non-empty parts.
-                for left_size in range(1, size):
-                    for left in combinations(subset, left_size):
-                        left_set = frozenset(left)
-                        right_set = subset_set - left_set
-                        yield left_set, right_set
-
-    def _seed_scans(self, table_index: int) -> None:
-        for operator in self.cost_model.scan_operators(table_index):
-            plan = self.cost_model.make_scan(table_index, operator)
-            self.statistics.plans_built += 1
-            self._cache.insert(plan, self._level_alpha)
-
-    def _join_operators(self, outer: Plan, inner: Plan) -> Tuple[JoinOperator, ...]:
-        key = (outer.output_format, inner.output_format)
-        operators = self._join_operators_memo.get(key)
-        if operators is None:
-            operators = tuple(self.cost_model.join_operators(outer, inner))
-            self._join_operators_memo[key] = operators
-        return operators
-
-    def _combine(self, left: FrozenSet[int], right: FrozenSet[int]) -> None:
-        outer_plans = self._cache.plans(left)
-        inner_plans = self._cache.plans(right)
-        for outer in outer_plans:
-            for inner in inner_plans:
-                for operator in self._join_operators(outer, inner):
-                    candidate = self.cost_model.make_join(outer, inner, operator)
-                    self.statistics.plans_built += 1
-                    self._cache.insert(candidate, self._level_alpha)
-
-    @staticmethod
-    def _format_alpha(alpha: float) -> str:
-        return _format_alpha(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +139,9 @@ def _split_positions(size: int, left_size: int) -> np.ndarray:
 def left_bits_of(subset: Sequence[int]) -> List[int]:
     """Left-side bitsets of all ordered splits of a subset, in scalar-loop order.
 
-    The object engine enumerates ``for left_size: for left in
-    combinations(subset, left_size)``; gathering the subset's member bits
-    through the cached position matrix of ``(size, left_size)`` reproduces
-    exactly that order (``subset`` is ascending, and each row's bits are
+    The scalar order is ``for left_size: for left in combinations(subset,
+    left_size)``; gathering the subset's member bits through the cached
+    position matrix of ``(size, left_size)`` reproduces exactly that order (``subset`` is ascending, and each row's bits are
     distinct, so the row sum equals the bit OR).  Subsets reaching past
     table 61 use Python-int bitsets, where int64 would overflow.  The split
     index a replay reads is the position in this list, on every backend.
@@ -541,14 +393,19 @@ class ArenaDPOptimizer(AnytimeOptimizer):
     costed in one :meth:`~repro.cost.batch.BatchCostModel.join_candidates_multi`
     call and decided through the cache's insertion kernel at
     ``level_alpha``.  ``step()`` then replays the recorded decisions split
-    by split — decision-identical to the object engine's per-candidate
-    loop, at a fraction of the per-candidate cost.
+    by split — decision-identical to inserting every candidate one by one,
+    at a fraction of the per-candidate cost.
 
     Parameters
     ----------
-    cost_model / alpha / tasks_per_step:
-        As for :class:`DPOptimizer`; ``step()`` boundaries, statistics, and
-        frontiers are bit-identical between the two.
+    cost_model:
+        Cost model / plan factory for the query.
+    alpha:
+        Overall approximation-factor target (≥ 1); ``float('inf')`` keeps a
+        single plan per subset and output format.
+    tasks_per_step:
+        Number of split tasks processed per :meth:`step` call; bounds the
+        work done between anytime checkpoints.
     backend:
         ``"sequential"`` (default) reduces each subset in process when a
         step first enters it; ``"coordinator"`` reduces a whole level's
@@ -701,7 +558,8 @@ class ArenaDPOptimizer(AnytimeOptimizer):
 
     # ----------------------------------------------------------- enumeration
     def _seed_scans(self) -> None:
-        """Seed single-table frontiers, identically ordered to the object engine."""
+        """Seed single-table frontiers, tables ascending, operators in library
+        order; their ``plans_built`` are charged at construction."""
         batch_model = self._batch_model
         cache = self._cache
         level_alpha = self._level_alpha
@@ -878,42 +736,3 @@ class ArenaDPOptimizer(AnytimeOptimizer):
             fabric=self._fabric,
         )
 
-
-def make_dp_optimizer(
-    cost_model: MultiObjectiveCostModel,
-    alpha: float = 2.0,
-    tasks_per_step: int = 50,
-    engine: str | None = None,
-    backend: str = "sequential",
-    workers: int = 1,
-    task_cache: "Optional[TaskCache]" = None,
-    lease_timeout: float = 300.0,
-    on_lease: "Optional[Callable[[DPLease], None]]" = None,
-) -> AnytimeOptimizer:
-    """Build a DP(α) optimizer on the resolved plan engine.
-
-    ``engine`` follows the library-wide convention: ``None`` falls back to
-    the ``REPRO_PLAN_ENGINE`` environment variable and then to ``"arena"``
-    (:func:`repro.plans.arena.resolve_plan_engine`).  The coordinator
-    backend exists only on the arena engine; ``workers``, ``task_cache``
-    and ``on_lease`` are rejected without it, on either engine.
-    """
-    engine = resolve_plan_engine(engine)
-    if engine == "object":
-        if backend != "sequential":
-            raise ValueError(
-                "backend='coordinator' requires the arena engine; "
-                "the object engine is the sequential reference"
-            )
-        _check_backend_arguments(backend, workers, task_cache, on_lease)
-        return DPOptimizer(cost_model, alpha=alpha, tasks_per_step=tasks_per_step)
-    return ArenaDPOptimizer(
-        cost_model,
-        alpha=alpha,
-        tasks_per_step=tasks_per_step,
-        backend=backend,
-        workers=workers,
-        task_cache=task_cache,
-        lease_timeout=lease_timeout,
-        on_lease=on_lease,
-    )

@@ -18,22 +18,17 @@ import random
 from typing import List
 
 from repro.core.interface import AnytimeOptimizer
-from repro.core.pareto_climb import ArenaParetoClimber, ParetoClimber
-from repro.core.random_plans import ArenaRandomPlanGenerator, RandomPlanGenerator
+from repro.core.pareto_climb import ArenaParetoClimber
+from repro.core.random_plans import ArenaRandomPlanGenerator
 from repro.cost.batch import BatchCostModel
 from repro.cost.model import MultiObjectiveCostModel
 from repro.pareto.frontier import ParetoFrontier
-from repro.plans.arena import resolve_plan_engine
 from repro.plans.plan import Plan
 from repro.plans.transformations import TransformationRules
 
 
 class IterativeImprovementOptimizer(AnytimeOptimizer):
-    """Iterative improvement with the fast multi-objective climbing function.
-
-    ``engine`` selects the plan engine (see :mod:`repro.plans.arena`);
-    results are identical, only plan representation and speed differ.
-    """
+    """Iterative improvement with the fast multi-objective climbing function."""
 
     name = "II"
 
@@ -42,40 +37,21 @@ class IterativeImprovementOptimizer(AnytimeOptimizer):
         cost_model: MultiObjectiveCostModel,
         rng: random.Random | None = None,
         rules: TransformationRules | None = None,
-        engine: str | None = None,
-        batch_model: BatchCostModel | None = None,
     ) -> None:
         super().__init__(cost_model)
         self._rng = rng if rng is not None else random.Random()
         self._rules = rules if rules is not None else TransformationRules()
-        self._engine = resolve_plan_engine(engine)
-        if self._engine == "arena":
-            self._batch_model = (
-                batch_model if batch_model is not None else BatchCostModel(cost_model)
-            )
-            arena = self._batch_model.arena
-            self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
-            self._climber = ArenaParetoClimber(self._batch_model, self._rules)
-            self._archive = ParetoFrontier(cost_of=arena.cost)
-            self._num_nodes = arena.num_nodes
-            self._materialize = arena.to_plans
-        else:
-            self._batch_model = None
-            self._generator = RandomPlanGenerator(cost_model, self._rng)
-            self._climber = ParetoClimber(cost_model, self._rules)
-            self._archive = ParetoFrontier(cost_of=lambda plan: plan.cost)
-            self._num_nodes = lambda plan: plan.num_nodes
-            self._materialize = list
+        self._batch_model = BatchCostModel(cost_model)
+        self._arena = self._batch_model.arena
+        self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
+        self._climber = ArenaParetoClimber(self._batch_model, self._rules)
+        self._archive: ParetoFrontier[int] = ParetoFrontier(cost_of=self._arena.cost)
         self._path_lengths: List[int] = []
 
     @property
-    def engine(self) -> str:
-        """The plan engine in use (``"arena"`` or ``"object"``)."""
-        return self._engine
-
-    @property
-    def batch_model(self) -> BatchCostModel | None:
-        """The shared batch cost model (``None`` under the object engine)."""
+    def batch_model(self) -> BatchCostModel:
+        """The batch cost model whose arena holds the plans (two-phase
+        optimization hands it to its annealing phase)."""
         return self._batch_model
 
     @property
@@ -90,15 +66,14 @@ class IterativeImprovementOptimizer(AnytimeOptimizer):
         self._archive.insert(result.plan)
         self._path_lengths.append(result.path_length)
         self.statistics.steps += 1
-        self.statistics.plans_built += result.plans_built + self._num_nodes(start)
+        self.statistics.plans_built += result.plans_built + self._arena.num_nodes(start)
 
     def frontier(self) -> List[Plan]:
         """Non-dominated set of all local optima found so far."""
-        return self._materialize(self._archive.items())
+        return self._arena.to_plans(self._archive.items())
 
-    def frontier_refs(self) -> list:
-        """The frontier as engine-native items (handles under the arena
-        engine, ``Plan`` objects under the object engine) — no
-        materialization.  Used by :class:`~repro.baselines.two_phase
-        .TwoPhaseOptimizer` to merge archives without building objects."""
+    def frontier_refs(self) -> List[int]:
+        """The frontier as arena handles, without materialization.  Used by
+        :class:`~repro.baselines.two_phase.TwoPhaseOptimizer` to merge
+        archives without building objects."""
         return self._archive.items()

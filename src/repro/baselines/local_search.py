@@ -1,11 +1,11 @@
 """Shared local-search utilities for the randomized baselines.
 
-The SA and 2P baselines move between *neighbor* plans: plans reachable via a
-single local transformation at a single node of the plan tree (Steinbrunn et
-al.).  Because plans are immutable, applying a mutation at an inner node
-requires rebuilding the spine from that node up to the root; this module
-implements that rebuild and random-neighbor sampling on top of the
-transformation rules shared with RMQ.
+The SA, 2P and WeightedSum baselines move between *neighbor* plans: plans
+reachable via a single local transformation at a single node of the plan
+tree (Steinbrunn et al.).  Plans are immutable arena handles, so applying a
+mutation at an inner node rebuilds the spine from that node up to the
+root; this module implements that rebuild and neighbor sampling on top of
+the transformation rules shared with RMQ.
 """
 
 from __future__ import annotations
@@ -13,115 +13,18 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.cost.model import PlanFactory
-from repro.plans.plan import JoinPlan, Plan
-from repro.plans.transformations import ArenaTransformationRules, TransformationRules
+from repro.plans.transformations import ArenaTransformationRules
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
-    from repro.cost.batch import BatchCostModel
+    from repro.cost.batch import BatchCostModel, JoinSpec, PlanRef
 
 #: A path from the root to a node: a sequence of 'o' (outer) / 'i' (inner) steps.
 NodePath = Tuple[str, ...]
 
 
-def enumerate_node_paths(plan: Plan) -> List[NodePath]:
-    """Paths to every node of the plan tree (the root has the empty path)."""
-    paths: List[NodePath] = []
-
-    def visit(node: Plan, path: NodePath) -> None:
-        paths.append(path)
-        if isinstance(node, JoinPlan):
-            visit(node.outer, path + ("o",))
-            visit(node.inner, path + ("i",))
-
-    visit(plan, ())
-    return paths
-
-
-def node_at(plan: Plan, path: NodePath) -> Plan:
-    """The node reached by following ``path`` from the root."""
-    node = plan
-    for step in path:
-        if not isinstance(node, JoinPlan):
-            raise ValueError(f"path {path} descends below a scan node")
-        node = node.outer if step == "o" else node.inner
-    return node
-
-
-def replace_at(
-    plan: Plan,
-    path: NodePath,
-    replacement: Plan,
-    rules: TransformationRules,
-    factory: PlanFactory,
-) -> Plan:
-    """Return a copy of ``plan`` with the node at ``path`` replaced.
-
-    The spine from the replaced node to the root is rebuilt (re-costed);
-    operators on the spine are kept when still applicable and otherwise
-    replaced by the library's first applicable operator.
-    """
-    if not path:
-        return replacement
-    if not isinstance(plan, JoinPlan):
-        raise ValueError(f"path {path} descends below a scan node")
-    step, rest = path[0], path[1:]
-    if step == "o":
-        new_outer = replace_at(plan.outer, rest, replacement, rules, factory)
-        return rules.rebuild_join(new_outer, plan.inner, plan.operator, factory)
-    new_inner = replace_at(plan.inner, rest, replacement, rules, factory)
-    return rules.rebuild_join(plan.outer, new_inner, plan.operator, factory)
-
-
-def random_neighbor(
-    plan: Plan,
-    rules: TransformationRules,
-    factory: PlanFactory,
-    rng: random.Random,
-    max_attempts: int = 10,
-) -> Optional[Plan]:
-    """A random neighbor of ``plan`` (one mutation at one random node).
-
-    Returns ``None`` when no non-identity mutation exists anywhere in the
-    plan (only possible with a single-operator library and a single table).
-    """
-    paths = enumerate_node_paths(plan)
-    for _ in range(max_attempts):
-        path = rng.choice(paths)
-        node = node_at(plan, path)
-        mutations = [
-            mutated
-            for mutated in rules.mutations(node, factory)
-            if mutated is not node
-        ]
-        if not mutations:
-            continue
-        mutated = rng.choice(mutations)
-        return replace_at(plan, path, mutated, rules, factory)
-    return None
-
-
-def all_neighbors(
-    plan: Plan,
-    rules: TransformationRules,
-    factory: PlanFactory,
-) -> List[Plan]:
-    """All neighbors of ``plan``: every mutation applied at every node."""
-    neighbors: List[Plan] = []
-    for path in enumerate_node_paths(plan):
-        node = node_at(plan, path)
-        for mutated in rules.mutations(node, factory):
-            if mutated is node:
-                continue
-            neighbors.append(replace_at(plan, path, mutated, rules, factory))
-    return neighbors
-
-
-# ---------------------------------------------------------------------------
-# Columnar-engine twins (arena handles instead of Plan objects)
-# ---------------------------------------------------------------------------
 def arena_node_paths(model: "BatchCostModel", handle: int) -> List[NodePath]:
-    """Paths to every node of a handle's plan tree (same order as objects)."""
+    """Paths to every node of a handle's plan tree, root first, outer before
+    inner (the root has the empty path)."""
     arena = model.arena
     paths: List[NodePath] = []
 
@@ -153,7 +56,12 @@ def arena_replace_at(
     replacement: int,
     rules: ArenaTransformationRules,
 ) -> int:
-    """Rebuild the spine from the replaced node to the root (handle twin)."""
+    """Return ``handle``'s plan with the node at ``path`` replaced.
+
+    The spine from the replaced node to the root is rebuilt (re-costed);
+    operators on the spine are kept when still applicable and otherwise
+    replaced by the library's first applicable operator.
+    """
     if not path:
         return replacement
     arena = model.arena
@@ -174,10 +82,12 @@ def arena_random_neighbor(
     rng: random.Random,
     max_attempts: int = 10,
 ) -> Optional[int]:
-    """Handle twin of :func:`random_neighbor` with identical RNG consumption.
+    """A random neighbor (one mutation at one random node), or ``None``.
 
-    Only the chosen mutation is costed and realized; the other candidates of
-    the sampled node stay uncosted descriptions.
+    ``None`` means no non-identity mutation was found in ``max_attempts``
+    sampled nodes (only possible with a single-operator library and a
+    single table).  Only the chosen mutation is costed and realized; the
+    other candidates of the sampled node stay uncosted descriptions.
     """
     from repro.cost.batch import JoinSpec
 
@@ -186,8 +96,8 @@ def arena_random_neighbor(
         path = rng.choice(paths)
         node = arena_node_at(model, handle, path)
         # mutations() always lists the node itself first; every other entry
-        # is structurally distinct, so dropping the head mirrors the object
-        # path's ``mutated is not node`` filter.
+        # is structurally distinct, so dropping the head leaves exactly the
+        # non-identity moves.
         pending: List[JoinSpec] = []
         mutations = rules.mutations(node, pending)[1:]
         if not mutations:
@@ -198,3 +108,54 @@ def arena_random_neighbor(
             mutated = model.realize(mutated)
         return arena_replace_at(model, handle, path, mutated, rules)
     return None
+
+
+def arena_all_neighbors(
+    model: "BatchCostModel", handle: int, rules: ArenaTransformationRules
+) -> "List[PlanRef]":
+    """All neighbors of a plan: every mutation applied at every node.
+
+    Neighbors are listed node by node in :func:`arena_node_paths` order and
+    mutation by mutation in rule order.  Each is described, spine included,
+    as pending specs and all are costed in one
+    :meth:`~repro.cost.batch.BatchCostModel.cost_specs` call; none is
+    realized, so a caller realizes only the neighbor it moves to.
+    """
+    pending: "List[JoinSpec]" = []
+    neighbors: "List[PlanRef]" = []
+    for path in arena_node_paths(model, handle):
+        node = arena_node_at(model, handle, path)
+        for mutated in rules.mutations(node, pending)[1:]:
+            neighbors.append(
+                _describe_replace_at(model, handle, path, mutated, rules, pending)
+            )
+    model.cost_specs(pending)
+    return neighbors
+
+
+def _describe_replace_at(
+    model: "BatchCostModel",
+    handle: int,
+    path: NodePath,
+    replacement: "PlanRef",
+    rules: ArenaTransformationRules,
+    pending: "List[JoinSpec]",
+) -> "PlanRef":
+    """:func:`arena_replace_at` with the rebuilt spine as pending specs."""
+    if not path:
+        return replacement
+    arena = model.arena
+    step, rest = path[0], path[1:]
+    if step == "o":
+        new_outer = _describe_replace_at(
+            model, arena.outer(handle), rest, replacement, rules, pending
+        )
+        return rules.describe_join(
+            new_outer, arena.inner(handle), arena.op_code(handle), pending
+        )
+    new_inner = _describe_replace_at(
+        model, arena.inner(handle), rest, replacement, rules, pending
+    )
+    return rules.describe_join(
+        arena.outer(handle), new_inner, arena.op_code(handle), pending
+    )

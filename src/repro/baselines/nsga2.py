@@ -36,7 +36,6 @@ from repro.cost.model import MultiObjectiveCostModel
 from repro.pareto.dominance import strictly_dominates
 from repro.pareto.engine import strictly_dominates_matrix
 from repro.pareto.frontier import ParetoFrontier
-from repro.plans.arena import resolve_plan_engine
 from repro.plans.plan import Plan
 
 Genome = Tuple[int, ...]
@@ -52,27 +51,11 @@ INDEXED_SORT_MIN_POPULATION = 1024
 
 
 @dataclass
-class Individual:
-    """A genome together with its decoded plan and cost vector."""
-
-    genome: Genome
-    plan: Plan
-    rank: int = 0
-    crowding: float = 0.0
-
-    @property
-    def cost(self) -> Tuple[float, ...]:
-        """Cost vector of the decoded plan."""
-        return self.plan.cost
-
-
-@dataclass
 class ArenaIndividual:
-    """An individual of the columnar engine: an arena handle plus its cost.
+    """A genome together with its decoded plan (an arena handle) and cost.
 
-    Duck-compatible with :class:`Individual` everywhere the algorithm reads
-    it (``cost``, ``rank``, ``crowding``, ``genome``); ``plan`` holds the
-    arena handle instead of a ``Plan`` object.
+    The algorithm reads only ``genome``, ``cost``, ``rank`` and
+    ``crowding``, so any object carrying those serves as an individual.
     """
 
     genome: Genome
@@ -108,7 +91,6 @@ class NSGA2Optimizer(AnytimeOptimizer):
         population_size: int = 200,
         crossover_probability: float = 0.9,
         mutation_probability: float | None = None,
-        engine: str | None = None,
     ) -> None:
         super().__init__(cost_model)
         if population_size < 2:
@@ -116,10 +98,7 @@ class NSGA2Optimizer(AnytimeOptimizer):
         if not 0 <= crossover_probability <= 1:
             raise ValueError("crossover probability must be in [0, 1]")
         self._rng = rng if rng is not None else random.Random()
-        self._engine = resolve_plan_engine(engine)
-        self._batch_model = (
-            BatchCostModel(cost_model) if self._engine == "arena" else None
-        )
+        self._batch_model = BatchCostModel(cost_model)
         self._population_size = population_size
         self._crossover_probability = crossover_probability
         num_tables = cost_model.query.num_tables
@@ -131,22 +110,12 @@ class NSGA2Optimizer(AnytimeOptimizer):
             if mutation_probability is not None
             else 1.0 / max(1, self._genome_length)
         )
-        self._population: List[Individual] = []
+        self._population: List[ArenaIndividual] = []
 
     # ------------------------------------------------------------ accessors
     @property
-    def engine(self) -> str:
-        """The plan engine in use (``"arena"`` or ``"object"``)."""
-        return self._engine
-
-    @property
-    def population(self) -> List[Individual]:
-        """The current population (empty before the first step).
-
-        Under the arena engine the entries are :class:`ArenaIndividual`
-        (``plan`` is an arena handle; ``cost``/``rank``/``crowding`` behave
-        identically).
-        """
+    def population(self) -> List[ArenaIndividual]:
+        """The current population (empty before the first step)."""
         return list(self._population)
 
     @property
@@ -173,15 +142,10 @@ class NSGA2Optimizer(AnytimeOptimizer):
         """Plans of the first non-dominated front of the current population."""
         if not self._population:
             return []
-        front = [ind for ind in self._population if ind.rank == 0]
-        if self._batch_model is not None:
-            arena = self._batch_model.arena
-            unique_handles: ParetoFrontier[int] = ParetoFrontier(cost_of=arena.cost)
-            unique_handles.insert_all(ind.plan for ind in front)
-            return arena.to_plans(unique_handles.items())
-        unique: ParetoFrontier[Plan] = ParetoFrontier(cost_of=lambda plan: plan.cost)
-        unique.insert_all(ind.plan for ind in front)
-        return unique.items()
+        arena = self._batch_model.arena
+        unique: ParetoFrontier[int] = ParetoFrontier(cost_of=arena.cost)
+        unique.insert_all(ind.plan for ind in self._population if ind.rank == 0)
+        return arena.to_plans(unique.items())
 
     # -------------------------------------------------------------- encoding
     def _random_genome(self) -> Genome:
@@ -211,8 +175,7 @@ class NSGA2Optimizer(AnytimeOptimizer):
     ) -> Tuple[List[int], Genome, Genome, Genome]:
         """Split a genome into (table order, commute, scan, join genes).
 
-        The one place the chromosome layout is interpreted — both plan
-        engines decode through it, so the encodings cannot drift apart.
+        The one place the chromosome layout is interpreted.
         """
         num_tables = self.query.num_tables
         order_genes = genome[:num_tables]
@@ -229,31 +192,12 @@ class NSGA2Optimizer(AnytimeOptimizer):
 
     def decode(self, genome: Genome) -> Plan:
         """Decode a genome into a plan (public for tests and analysis)."""
-        if self._batch_model is not None:
-            return self._batch_model.arena.to_plan(self._decode_handle(genome))
-        order, commute_genes, scan_genes, join_genes = self._genome_layout(genome)
-        factory = self.cost_model
-        scan_ops = factory.scan_operators(order[0])
-        plan: Plan = factory.make_scan(order[0], scan_ops[scan_genes[0] % len(scan_ops)])
-        for position, table_index in enumerate(order[1:], start=1):
-            scan_ops = factory.scan_operators(table_index)
-            scan = factory.make_scan(
-                table_index, scan_ops[scan_genes[position] % len(scan_ops)]
-            )
-            if commute_genes[position - 1] % 2 == 0:
-                outer, inner = plan, scan
-            else:
-                outer, inner = scan, plan
-            join_ops = factory.join_operators(outer, inner)
-            operator = join_ops[join_genes[position - 1] % len(join_ops)]
-            plan = factory.make_join(outer, inner, operator)
-        return plan
+        return self._batch_model.arena.to_plan(self._decode_handle(genome))
 
     def _decode_handle(self, genome: Genome) -> int:
-        """Decode a genome on the columnar engine (same plan, a handle)."""
+        """Decode a genome into an arena handle."""
         order, commute_genes, scan_genes, join_genes = self._genome_layout(genome)
         model = self._batch_model
-        assert model is not None
         scan_codes = model.scan_codes(order[0])
         plan = model.make_scan(order[0], scan_codes[scan_genes[0] % len(scan_codes)])
         for position, table_index in enumerate(order[1:], start=1):
@@ -271,21 +215,15 @@ class NSGA2Optimizer(AnytimeOptimizer):
             )
         return plan
 
-    def _make_individual(self, genome: Genome) -> Individual:
-        if self._batch_model is not None:
-            handle = self._decode_handle(genome)
-            arena = self._batch_model.arena
-            self.statistics.plans_built += arena.num_nodes(handle)
-            return ArenaIndividual(
-                genome=genome, plan=handle, cost=arena.cost(handle)
-            )
-        plan = self.decode(genome)
-        self.statistics.plans_built += plan.num_nodes
-        return Individual(genome=genome, plan=plan)
+    def _make_individual(self, genome: Genome) -> ArenaIndividual:
+        handle = self._decode_handle(genome)
+        arena = self._batch_model.arena
+        self.statistics.plans_built += arena.num_nodes(handle)
+        return ArenaIndividual(genome=genome, plan=handle, cost=arena.cost(handle))
 
     # ------------------------------------------------------------ variation
-    def _make_offspring(self) -> List[Individual]:
-        offspring: List[Individual] = []
+    def _make_offspring(self) -> List[ArenaIndividual]:
+        offspring: List[ArenaIndividual] = []
         while len(offspring) < self._population_size:
             parent_a = self._tournament()
             parent_b = self._tournament()
@@ -295,13 +233,13 @@ class NSGA2Optimizer(AnytimeOptimizer):
                 offspring.append(self._make_individual(self._mutate(child_b)))
         return offspring
 
-    def _tournament(self) -> Individual:
+    def _tournament(self) -> ArenaIndividual:
         first = self._rng.choice(self._population)
         second = self._rng.choice(self._population)
         return first if self._crowded_better(first, second) else second
 
     @staticmethod
-    def _crowded_better(first: Individual, second: Individual) -> bool:
+    def _crowded_better(first: ArenaIndividual, second: ArenaIndividual) -> bool:
         if first.rank != second.rank:
             return first.rank < second.rank
         return first.crowding > second.crowding
@@ -322,9 +260,11 @@ class NSGA2Optimizer(AnytimeOptimizer):
         return tuple(genes)
 
     # ------------------------------------------------- environmental selection
-    def _environmental_selection(self, combined: List[Individual]) -> List[Individual]:
+    def _environmental_selection(
+        self, combined: List[ArenaIndividual]
+    ) -> List[ArenaIndividual]:
         fronts = self._fast_non_dominated_sort(combined)
-        next_population: List[Individual] = []
+        next_population: List[ArenaIndividual] = []
         for front in fronts:
             self._assign_crowding(front)
             if len(next_population) + len(front) <= self._population_size:
@@ -336,14 +276,14 @@ class NSGA2Optimizer(AnytimeOptimizer):
                 break
         return next_population
 
-    def _assign_ranks_and_crowding(self, population: List[Individual]) -> None:
+    def _assign_ranks_and_crowding(self, population: List[ArenaIndividual]) -> None:
         for front in self._fast_non_dominated_sort(population):
             self._assign_crowding(front)
 
     @staticmethod
     def _fast_non_dominated_sort(
-        population: List[Individual],
-    ) -> List[List[Individual]]:
+        population: List[ArenaIndividual],
+    ) -> List[List[ArenaIndividual]]:
         """Non-dominated sort on the vectorized dominance kernel.
 
         One ``strictly_dominates_matrix`` call replaces the O(n²) per-pair
@@ -365,7 +305,7 @@ class NSGA2Optimizer(AnytimeOptimizer):
         costs = np.asarray([ind.cost for ind in population], dtype=np.float64)
         dominates = strictly_dominates_matrix(costs, costs)  # [i, j] = i ≺ j
         remaining = dominates.sum(axis=0).astype(np.int64)  # dominators of j
-        fronts: List[List[Individual]] = []
+        fronts: List[List[ArenaIndividual]] = []
         current = np.flatnonzero(remaining == 0)  # ascending, like the scalar path
         rank = 0
         while current.size:
@@ -389,8 +329,8 @@ class NSGA2Optimizer(AnytimeOptimizer):
 
     @staticmethod
     def _fast_non_dominated_sort_indexed(
-        population: List[Individual],
-    ) -> List[List[Individual]]:
+        population: List[ArenaIndividual],
+    ) -> List[List[ArenaIndividual]]:
         """Sorted-order non-dominated sort for very large populations.
 
         An ENS-style sweep in the spirit of the sorted frontier store:
@@ -444,7 +384,7 @@ class NSGA2Optimizer(AnytimeOptimizer):
             front_counts[front] = count + 1
             members.append(index)
         # Reconstruct the scalar peel's within-front order front by front.
-        fronts: List[List[Individual]] = []
+        fronts: List[List[ArenaIndividual]] = []
         previous: np.ndarray | None = None
         for rank, members in enumerate(front_members):
             candidates = np.asarray(sorted(members), dtype=np.int64)
@@ -468,8 +408,8 @@ class NSGA2Optimizer(AnytimeOptimizer):
 
     @staticmethod
     def _fast_non_dominated_sort_scalar(
-        population: List[Individual],
-    ) -> List[List[Individual]]:
+        population: List[ArenaIndividual],
+    ) -> List[List[ArenaIndividual]]:
         """Pure-Python reference (the specification of the vectorized sort)."""
         dominated_by: Dict[int, List[int]] = {i: [] for i in range(len(population))}
         domination_count = [0] * len(population)
@@ -499,7 +439,7 @@ class NSGA2Optimizer(AnytimeOptimizer):
         return [[population[i] for i in front] for front in fronts if front]
 
     @staticmethod
-    def _assign_crowding(front: List[Individual]) -> None:
+    def _assign_crowding(front: List[ArenaIndividual]) -> None:
         """Crowding distances via stable argsort instead of per-metric list sorts.
 
         Reproduces :meth:`_assign_crowding_scalar` exactly, including its
@@ -532,7 +472,7 @@ class NSGA2Optimizer(AnytimeOptimizer):
         front[:] = [originals[index] for index in order]
 
     @staticmethod
-    def _assign_crowding_scalar(front: List[Individual]) -> None:
+    def _assign_crowding_scalar(front: List[ArenaIndividual]) -> None:
         """Pure-Python reference (the specification of the vectorized crowding)."""
         if not front:
             return

@@ -12,20 +12,18 @@ import random
 from typing import List
 
 from repro.core.interface import AnytimeOptimizer
-from repro.core.random_plans import ArenaRandomPlanGenerator, RandomPlanGenerator
+from repro.core.random_plans import ArenaRandomPlanGenerator
 from repro.cost.batch import BatchCostModel
 from repro.cost.model import MultiObjectiveCostModel
 from repro.pareto.frontier import ParetoFrontier
-from repro.plans.arena import resolve_plan_engine
 from repro.plans.plan import Plan
 
 
 class RandomSamplingOptimizer(AnytimeOptimizer):
     """Keeps the non-dominated subset of independently sampled random plans.
 
-    ``engine`` selects the plan engine (see :mod:`repro.plans.arena`); under
-    the default ``"arena"`` engine sampled plans are columnar handles and
-    only the surviving frontier is materialized on :meth:`frontier`.
+    Sampled plans are arena handles; only the surviving frontier is
+    materialized on :meth:`frontier`.
     """
 
     name = "RandomSampling"
@@ -35,32 +33,16 @@ class RandomSamplingOptimizer(AnytimeOptimizer):
         cost_model: MultiObjectiveCostModel,
         rng: random.Random | None = None,
         plans_per_step: int = 10,
-        engine: str | None = None,
     ) -> None:
         super().__init__(cost_model)
         if plans_per_step < 1:
             raise ValueError("plans_per_step must be positive")
         rng = rng if rng is not None else random.Random()
-        self._engine = resolve_plan_engine(engine)
-        if self._engine == "arena":
-            self._batch_model = BatchCostModel(cost_model)
-            arena = self._batch_model.arena
-            self._generator = ArenaRandomPlanGenerator(self._batch_model, rng)
-            self._archive = ParetoFrontier(cost_of=arena.cost)
-            self._num_nodes = arena.num_nodes
-            self._materialize = arena.to_plans
-        else:
-            self._batch_model = None
-            self._generator = RandomPlanGenerator(cost_model, rng)
-            self._archive = ParetoFrontier(cost_of=lambda plan: plan.cost)
-            self._num_nodes = lambda plan: plan.num_nodes
-            self._materialize = list
+        batch_model = BatchCostModel(cost_model)
+        self._arena = batch_model.arena
+        self._generator = ArenaRandomPlanGenerator(batch_model, rng)
+        self._archive: ParetoFrontier[int] = ParetoFrontier(cost_of=self._arena.cost)
         self._plans_per_step = plans_per_step
-
-    @property
-    def engine(self) -> str:
-        """The plan engine in use (``"arena"`` or ``"object"``)."""
-        return self._engine
 
     def step(self) -> None:
         """Sample a batch of random plans and archive the non-dominated ones.
@@ -71,11 +53,11 @@ class RandomSamplingOptimizer(AnytimeOptimizer):
         batch = []
         for _ in range(self._plans_per_step):
             plan = self._generator.random_bushy_plan()
-            self.statistics.plans_built += self._num_nodes(plan)
+            self.statistics.plans_built += self._arena.num_nodes(plan)
             batch.append(plan)
         self._archive.insert_all(batch)
         self.statistics.steps += 1
 
     def frontier(self) -> List[Plan]:
         """Non-dominated set of all sampled plans."""
-        return self._materialize(self._archive.items())
+        return self._arena.to_plans(self._archive.items())

@@ -20,14 +20,13 @@ import math
 import random
 from typing import List
 
-from repro.baselines.local_search import arena_random_neighbor, random_neighbor
+from repro.baselines.local_search import arena_random_neighbor
 from repro.core.interface import AnytimeOptimizer
-from repro.core.random_plans import ArenaRandomPlanGenerator, RandomPlanGenerator
+from repro.core.random_plans import ArenaRandomPlanGenerator
 from repro.cost.batch import BatchCostModel
 from repro.cost.model import MultiObjectiveCostModel
 from repro.cost.vector import mean_relative_difference
 from repro.pareto.frontier import ParetoFrontier
-from repro.plans.arena import resolve_plan_engine
 from repro.plans.plan import Plan
 from repro.plans.transformations import ArenaTransformationRules, TransformationRules
 
@@ -55,13 +54,12 @@ class SimulatedAnnealingOptimizer(AnytimeOptimizer):
         random plan (keeping the archive).
     start_plan:
         Optional start plan (used by two-phase optimization); a random bushy
-        plan is drawn when omitted.
-    engine:
-        Plan engine (see :mod:`repro.plans.arena`); results are identical,
-        only plan representation and speed differ.  A ``start_plan`` given
-        as a ``Plan`` object is interned into the arena under the arena
-        engine; an ``int`` start plan is taken as an arena handle of the
-        shared ``batch_model``.
+        plan is drawn when omitted.  A ``Plan`` object is interned into the
+        arena; an ``int`` is taken as a handle of ``batch_model``'s arena
+        and must name one of its nodes.
+    batch_model:
+        Optional batch cost model to share (two-phase optimization passes
+        the improvement phase's, whose arena holds the start plan).
     """
 
     name = "SA"
@@ -76,7 +74,6 @@ class SimulatedAnnealingOptimizer(AnytimeOptimizer):
         moves_per_stage: int | None = None,
         frozen_temperature: float = 1e-3,
         start_plan: "Plan | int | None" = None,
-        engine: str | None = None,
         batch_model: BatchCostModel | None = None,
     ) -> None:
         super().__init__(cost_model)
@@ -85,25 +82,13 @@ class SimulatedAnnealingOptimizer(AnytimeOptimizer):
         if not 0 < cooling_rate < 1:
             raise ValueError("cooling rate must be in (0, 1)")
         self._rng = rng if rng is not None else random.Random()
-        self._rules = rules if rules is not None else TransformationRules()
-        self._engine = resolve_plan_engine(engine)
-        if self._engine == "arena":
-            self._batch_model = (
-                batch_model if batch_model is not None else BatchCostModel(cost_model)
-            )
-            arena = self._batch_model.arena
-            self._arena_rules = ArenaTransformationRules(
-                self._batch_model, self._rules
-            )
-            self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
-            self._archive = ParetoFrontier(cost_of=arena.cost)
-            self._num_nodes = arena.num_nodes
-        else:
-            self._batch_model = None
-            self._arena_rules = None
-            self._generator = RandomPlanGenerator(cost_model, self._rng)
-            self._archive = ParetoFrontier(cost_of=lambda plan: plan.cost)
-            self._num_nodes = lambda plan: plan.num_nodes
+        self._batch_model = (
+            batch_model if batch_model is not None else BatchCostModel(cost_model)
+        )
+        self._arena = self._batch_model.arena
+        self._rules = ArenaTransformationRules(self._batch_model, rules)
+        self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
+        self._archive: ParetoFrontier[int] = ParetoFrontier(cost_of=self._arena.cost)
         self._initial_temperature = initial_temperature_factor
         self._cooling_rate = cooling_rate
         self._moves_per_stage = (
@@ -116,27 +101,24 @@ class SimulatedAnnealingOptimizer(AnytimeOptimizer):
         # handle so that :attr:`current_plan` is stable between calls (and
         # returns the exact object a caller seeded the annealer with).
         self._current_object: Plan | None = None
-        if start_plan is not None and self._engine == "arena":
-            if isinstance(start_plan, int):
-                # Already an arena handle (a caller sharing ``batch_model``,
-                # e.g. two-phase optimization).
-                self._current = start_plan
-            else:
-                self._current = self._batch_model.intern_plan(start_plan)
-                self._current_object = start_plan
-        else:
+        self._current: int | None = None
+        if isinstance(start_plan, int):
+            # Already an arena handle (a caller sharing ``batch_model``, e.g.
+            # two-phase optimization).
+            if not 0 <= start_plan < len(self._arena):
+                raise ValueError(
+                    f"start_plan {start_plan} is not a node of the batch "
+                    f"model's arena ({len(self._arena)} nodes)"
+                )
             self._current = start_plan
+        elif start_plan is not None:
+            self._current = self._batch_model.intern_plan(start_plan)
             self._current_object = start_plan
         self._temperature = self._initial_temperature
         if self._current is not None:
             self._archive.insert(self._current)
 
     # ------------------------------------------------------------ accessors
-    @property
-    def engine(self) -> str:
-        """The plan engine in use (``"arena"`` or ``"object"``)."""
-        return self._engine
-
     @property
     def temperature(self) -> float:
         """Current annealing temperature."""
@@ -145,12 +127,10 @@ class SimulatedAnnealingOptimizer(AnytimeOptimizer):
     @property
     def current_plan(self) -> Plan | None:
         """The plan the annealer is currently at (None before the first step)."""
-        if self._engine != "arena":
-            return self._current
         if self._current is None:
             return None
         if self._current_object is None:
-            self._current_object = self._batch_model.arena.to_plan(self._current)
+            self._current_object = self._arena.to_plan(self._current)
         return self._current_object
 
     # ------------------------------------------------------------- protocol
@@ -165,12 +145,10 @@ class SimulatedAnnealingOptimizer(AnytimeOptimizer):
 
     def frontier(self) -> List[Plan]:
         """Non-dominated set of all complete plans visited so far."""
-        if self._engine == "arena":
-            return self._batch_model.arena.to_plans(self._archive.items())
-        return self._archive.items()
+        return self._arena.to_plans(self._archive.items())
 
-    def frontier_refs(self) -> list:
-        """The frontier as engine-native items (see ``II.frontier_refs``)."""
+    def frontier_refs(self) -> List[int]:
+        """The frontier as arena handles (see ``II.frontier_refs``)."""
         return self._archive.items()
 
     # ------------------------------------------------------------ internals
@@ -179,28 +157,18 @@ class SimulatedAnnealingOptimizer(AnytimeOptimizer):
         self._current_object = None
         self._archive.insert(self._current)
         self._temperature = self._initial_temperature
-        self.statistics.plans_built += self._num_nodes(self._current)
-
-    def _cost_of(self, plan):
-        if self._engine == "arena":
-            return self._batch_model.arena.cost(plan)
-        return plan.cost
+        self.statistics.plans_built += self._arena.num_nodes(self._current)
 
     def _one_move(self) -> None:
         assert self._current is not None
-        if self._engine == "arena":
-            neighbor = arena_random_neighbor(
-                self._batch_model, self._current, self._arena_rules, self._rng
-            )
-        else:
-            neighbor = random_neighbor(
-                self._current, self._rules, self.cost_model, self._rng
-            )
+        neighbor = arena_random_neighbor(
+            self._batch_model, self._current, self._rules, self._rng
+        )
         if neighbor is None:
             return
         self.statistics.plans_built += 1
         delta = mean_relative_difference(
-            self._cost_of(neighbor), self._cost_of(self._current)
+            self._arena.cost(neighbor), self._arena.cost(self._current)
         )
         if delta <= 0 or self._accept_uphill(delta):
             self._current = neighbor

@@ -38,9 +38,6 @@ class TwoPhaseOptimizer(AnytimeOptimizer):
         Initial temperature factor of the SA phase; two-phase optimization
         starts with a much lower temperature than plain SA because it starts
         from an already good plan.
-    engine:
-        Plan engine shared by both phases (see :mod:`repro.plans.arena`);
-        results are identical, only plan representation and speed differ.
     """
 
     name = "2P"
@@ -52,7 +49,6 @@ class TwoPhaseOptimizer(AnytimeOptimizer):
         rules: TransformationRules | None = None,
         improvement_iterations: int = 10,
         sa_temperature_factor: float = 0.1,
-        engine: str | None = None,
     ) -> None:
         super().__init__(cost_model)
         if improvement_iterations < 1:
@@ -62,28 +58,16 @@ class TwoPhaseOptimizer(AnytimeOptimizer):
         self._improvement_iterations = improvement_iterations
         self._sa_temperature_factor = sa_temperature_factor
         self._improvement = IterativeImprovementOptimizer(
-            cost_model, rng=self._rng, rules=self._rules, engine=engine
+            cost_model, rng=self._rng, rules=self._rules
         )
-        # The archive holds engine-native items (arena handles under the
-        # default engine), merged straight from the phases' archives; Plan
-        # objects are materialized once, in :meth:`frontier`.
-        batch_model = self._improvement.batch_model
-        if batch_model is not None:
-            self._archive = ParetoFrontier(cost_of=batch_model.arena.cost)
-            self._materialize = batch_model.arena.to_plans
-            self._cost_of = batch_model.arena.cost
-        else:
-            self._archive = ParetoFrontier(cost_of=lambda plan: plan.cost)
-            self._materialize = list
-            self._cost_of = lambda plan: plan.cost
+        # The archive holds arena handles of the phases' shared arena, merged
+        # straight from the phases' archives; Plan objects are materialized
+        # once, in :meth:`frontier`.
+        self._arena = self._improvement.batch_model.arena
+        self._archive: ParetoFrontier[int] = ParetoFrontier(cost_of=self._arena.cost)
         self._annealer: SimulatedAnnealingOptimizer | None = None
 
     # ------------------------------------------------------------ accessors
-    @property
-    def engine(self) -> str:
-        """The plan engine in use (``"arena"`` or ``"object"``)."""
-        return self._improvement.engine
-
     @property
     def in_second_phase(self) -> bool:
         """Whether the optimizer has switched to the simulated-annealing phase."""
@@ -108,34 +92,31 @@ class TwoPhaseOptimizer(AnytimeOptimizer):
 
     def frontier(self) -> List[Plan]:
         """Union of the non-dominated plans found in both phases."""
-        return self._materialize(self._archive.items())
+        return self._arena.to_plans(self._archive.items())
 
     # ------------------------------------------------------------ internals
     def _build_annealer(self) -> SimulatedAnnealingOptimizer:
         start_plan = self._select_start_plan()
-        # The annealer shares the improvement phase's batch model (when on
-        # the arena engine), so the start plan is passed as a handle of the
-        # shared arena.
+        # The annealer shares the improvement phase's batch model, so the
+        # start plan is passed as a handle of the shared arena.
         return SimulatedAnnealingOptimizer(
             self.cost_model,
             rng=self._rng,
             rules=self._rules,
             initial_temperature_factor=self._sa_temperature_factor,
             start_plan=start_plan,
-            engine=self._improvement.engine,
             batch_model=self._improvement.batch_model,
         )
 
-    def _select_start_plan(self):
+    def _select_start_plan(self) -> int | None:
         """Pick the II plan with the lowest normalized total cost as SA's start.
 
-        Works on engine-native references; under the arena engine the
-        result is an arena handle of the shared batch model.
+        The result is an arena handle of the shared batch model.
         """
         candidates = self._improvement.frontier_refs()
         if not candidates:
             return None
-        cost_of = self._cost_of
+        cost_of = self._arena.cost
         maxima = [
             max(cost_of(plan)[i] for plan in candidates) or 1.0
             for i in range(self.cost_model.num_metrics)

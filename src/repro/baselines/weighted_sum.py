@@ -14,13 +14,14 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from repro.baselines.local_search import all_neighbors
+from repro.baselines.local_search import arena_all_neighbors
 from repro.core.interface import AnytimeOptimizer
-from repro.core.random_plans import RandomPlanGenerator
+from repro.core.random_plans import ArenaRandomPlanGenerator
+from repro.cost.batch import BatchCostModel, JoinSpec, PlanRef
 from repro.cost.model import MultiObjectiveCostModel
 from repro.pareto.frontier import ParetoFrontier
 from repro.plans.plan import Plan
-from repro.plans.transformations import TransformationRules
+from repro.plans.transformations import ArenaTransformationRules, TransformationRules
 
 
 class WeightedSumOptimizer(AnytimeOptimizer):
@@ -37,37 +38,45 @@ class WeightedSumOptimizer(AnytimeOptimizer):
     ) -> None:
         super().__init__(cost_model)
         self._rng = rng if rng is not None else random.Random()
-        self._rules = rules if rules is not None else TransformationRules()
-        self._generator = RandomPlanGenerator(cost_model, self._rng)
+        self._batch_model = BatchCostModel(cost_model)
+        self._arena = self._batch_model.arena
+        self._rules = ArenaTransformationRules(self._batch_model, rules)
+        self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
         self._max_climb_steps = max_climb_steps
-        self._archive: ParetoFrontier[Plan] = ParetoFrontier(cost_of=lambda plan: plan.cost)
+        self._archive: ParetoFrontier[int] = ParetoFrontier(cost_of=self._arena.cost)
 
     def step(self) -> None:
         """Draw a weight vector, climb a random plan under the scalarized cost."""
         weights = self._random_weights()
+        model = self._batch_model
         plan = self._generator.random_bushy_plan()
-        self.statistics.plans_built += plan.num_nodes
+        self.statistics.plans_built += self._arena.num_nodes(plan)
         for _ in range(self._max_climb_steps):
-            neighbors = all_neighbors(plan, self._rules, self.cost_model)
+            neighbors = arena_all_neighbors(model, plan, self._rules)
             self.statistics.plans_built += len(neighbors)
             best = min(
                 neighbors,
-                key=lambda candidate: self._scalar(candidate.cost, weights),
+                key=lambda candidate: self._scalar(self._cost_of(candidate), weights),
                 default=None,
             )
-            if best is None or self._scalar(best.cost, weights) >= self._scalar(
-                plan.cost, weights
-            ):
+            if best is None or self._scalar(
+                self._cost_of(best), weights
+            ) >= self._scalar(self._arena.cost(plan), weights):
                 break
-            plan = best
+            plan = model.realize(best)
         self._archive.insert(plan)
         self.statistics.steps += 1
 
     def frontier(self) -> List[Plan]:
         """Non-dominated set over all scalarized climbs so far."""
-        return self._archive.items()
+        return self._arena.to_plans(self._archive.items())
 
     # ------------------------------------------------------------ internals
+    def _cost_of(self, ref: PlanRef) -> Tuple[float, ...]:
+        if isinstance(ref, JoinSpec):
+            return ref.cost
+        return self._arena.cost(ref)
+
     def _random_weights(self) -> Tuple[float, ...]:
         raw = [self._rng.random() + 1e-9 for _ in range(self.cost_model.num_metrics)]
         total = sum(raw)

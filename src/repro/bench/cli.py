@@ -285,8 +285,7 @@ def _run_regress(argv: Sequence[str]) -> str:
         lines = [
             f"[archive ok: {coverage['entries']} entries — "
             f"{coverage['shapes']} shapes x {coverage['stat_models']} stat "
-            f"models x {coverage['algorithms']} algorithms x "
-            f"{coverage['engines']} engines]"
+            f"models x {coverage['algorithms']} algorithms]"
         ]
         if missing:
             lines.append(f"{len(missing)} zoo coordinate(s) not pinned:")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.baselines.dp import make_dp_optimizer
+from repro.baselines.dp import ArenaDPOptimizer
 from repro.cost.model import MultiObjectiveCostModel
 from repro.pareto.frontier import pareto_filter
 
@@ -36,7 +36,6 @@ def dp_reference_frontier(
     alpha: float = 1.01,
     time_budget: float | None = None,
     max_steps: int | None = 1_000_000,
-    engine: str | None = None,
 ) -> List[Tuple[float, ...]]:
     """Reference frontier computed by the DP approximation scheme.
 
@@ -44,16 +43,12 @@ def dp_reference_frontier(
     ----------
     cost_model:
         Cost model of the test-case query (should join few tables; the DP
-        enumeration is exponential — though the arena engine pushes the
-        practical reference ceiling well past the object engine's).
+        enumeration is exponential).
     alpha:
         Approximation guarantee of the reference (1.01 in the paper).
     time_budget / max_steps:
         Safety budgets; the scheme normally completes well before them for
         the small queries this is intended for.
-    engine:
-        Plan engine (``None``: the ``REPRO_PLAN_ENGINE`` convention); both
-        engines produce bit-identical frontiers.
 
     Returns
     -------
@@ -61,7 +56,7 @@ def dp_reference_frontier(
         The Pareto-filtered cost vectors of the DP result.  Empty only if the
         scheme could not finish within the budgets.
     """
-    optimizer = make_dp_optimizer(cost_model, alpha=alpha, engine=engine)
+    optimizer = ArenaDPOptimizer(cost_model, alpha=alpha)
     optimizer.run(time_budget=time_budget, max_steps=max_steps)
     frontier = [tuple(plan.cost) for plan in optimizer.frontier()]
     return pareto_filter(frontier) if frontier else []

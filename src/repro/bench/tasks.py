@@ -464,11 +464,7 @@ def execute_task(
     test case (same (cell, case) coordinates); the construction is pure, so
     sharing the instance across the case's leaves cannot change results.
 
-    Reference leaves run the DP scheme on whatever plan engine the
-    ``REPRO_PLAN_ENGINE`` convention resolves (arena by default).  The two
-    engines produce bit-identical frontiers (``tests/test_dp_arena.py``),
-    so provenance hashes, the in-process memo, and the task cache stay
-    engine-agnostic.
+    Reference leaves run the DP scheme (:func:`dp_reference_frontier`).
     """
     if task.role == ROLE_REFERENCE:
         memo_key: str | None = None

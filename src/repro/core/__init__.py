@@ -24,20 +24,14 @@ Modules map one-to-one onto the paper's Section 4:
 """
 
 from repro.core.interface import AnytimeOptimizer, OptimizerStatistics
-from repro.core.random_plans import RandomPlanGenerator
-from repro.core.pareto_climb import ClimbResult, ParetoClimber
-from repro.core.plan_cache import PlanCache
-from repro.core.frontier import AlphaSchedule, FrontierApproximator
+from repro.core.pareto_climb import ClimbResult
+from repro.core.frontier import AlphaSchedule
 from repro.core.rmq import RMQOptimizer
 
 __all__ = [
     "AnytimeOptimizer",
     "OptimizerStatistics",
-    "RandomPlanGenerator",
-    "ParetoClimber",
     "ClimbResult",
-    "PlanCache",
     "AlphaSchedule",
-    "FrontierApproximator",
     "RMQOptimizer",
 ]

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.cost.model import PlanFactory
-from repro.core.plan_cache import ArenaPlanCache, PlanCache
-from repro.plans.plan import JoinPlan, Plan, ScanPlan
+from repro.core.plan_cache import ArenaPlanCache
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.cost.batch import BatchCostModel
@@ -87,89 +85,23 @@ class AlphaSchedule:
         return cls(initial=25.0, decay=0.99 ** (factor / 25.0), period=1)
 
 
-class FrontierApproximator:
+class ArenaFrontierApproximator:
     """Approximates Pareto frontiers for the intermediate results of a plan.
+
+    A post-order walk of the locally optimal plan: scans are inserted per
+    operator, join frontiers are combined bottom-up.  Each combination
+    costs the whole ``|outer frontier| × |inner frontier| × |join
+    operators|`` cross product with one
+    :meth:`~repro.cost.batch.BatchCostModel.join_candidates` call and
+    inserts it through the cache's batched insertion kernel, in the order
+    of the scalar triple loop.
 
     Parameters
     ----------
-    factory:
-        Plan factory used to build the candidate plans.
+    model:
+        Batch cost model whose arena holds the plans.
     schedule:
         α schedule; defaults to the paper's schedule.
-    """
-
-    def __init__(
-        self,
-        factory: PlanFactory,
-        schedule: AlphaSchedule | None = None,
-    ) -> None:
-        self._factory = factory
-        self._schedule = schedule if schedule is not None else AlphaSchedule.paper()
-        self._plans_built = 0
-
-    @property
-    def schedule(self) -> AlphaSchedule:
-        """The α schedule in use."""
-        return self._schedule
-
-    @property
-    def plans_built(self) -> int:
-        """Number of candidate plans constructed so far."""
-        return self._plans_built
-
-    # ------------------------------------------------------------ algorithm
-    def approximate(self, plan: Plan, cache: PlanCache, iteration: int) -> PlanCache:
-        """Run ``ApproximateFrontiers`` for one locally optimal plan.
-
-        Parameters
-        ----------
-        plan:
-            The locally Pareto-optimal plan whose join order (and intermediate
-            results) are exploited.
-        cache:
-            The plan cache shared across iterations; updated in place and also
-            returned for convenience.
-        iteration:
-            The main-loop iteration counter ``i`` (1-based), which determines
-            the approximation factor.
-        """
-        alpha = self._schedule.alpha(iteration)
-        self._approximate_node(plan, cache, alpha)
-        return cache
-
-    def _approximate_node(self, plan: Plan, cache: PlanCache, alpha: float) -> None:
-        if isinstance(plan, JoinPlan):
-            self._approximate_node(plan.outer, cache, alpha)
-            self._approximate_node(plan.inner, cache, alpha)
-            outer_plans = cache.plans(plan.outer.rel)
-            inner_plans = cache.plans(plan.inner.rel)
-            for outer in outer_plans:
-                for inner in inner_plans:
-                    for operator in self._factory.join_operators(outer, inner):
-                        candidate = self._factory.make_join(outer, inner, operator)
-                        self._plans_built += 1
-                        cache.insert(candidate, alpha)
-        elif isinstance(plan, ScanPlan):
-            table_index = plan.table.index
-            for operator in self._factory.scan_operators(table_index):
-                candidate = self._factory.make_scan(table_index, operator)
-                self._plans_built += 1
-                cache.insert(candidate, alpha)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown plan type: {type(plan)!r}")
-
-
-class ArenaFrontierApproximator:
-    """``ApproximateFrontiers`` on the columnar engine (handles, not objects).
-
-    The structure mirrors :class:`FrontierApproximator` exactly — post-order
-    walk of the locally optimal plan, scans inserted per operator, join
-    frontiers combined bottom-up — but the combination step costs the whole
-    ``|outer frontier| × |inner frontier| × |join operators|`` cross product
-    with one :meth:`~repro.cost.batch.BatchCostModel.join_candidates` call
-    and inserts it through the cache's batched pre-filter.  Frontier
-    contents, insertion order, and the ``plans_built`` counter are identical
-    to the object path.
     """
 
     def __init__(

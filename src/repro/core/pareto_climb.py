@@ -30,12 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.cost.model import PlanFactory
 from repro.pareto.dominance import strictly_dominates
 from repro.pareto.engine import SMALL_SET_SIZE, as_cost_matrix, dominance_fold
 from repro.pareto.store import resolve_store_policy, sorted_dominance_fold
-from repro.plans.operators import DataFormat
-from repro.plans.plan import JoinPlan, Plan
 from repro.plans.transformations import ArenaTransformationRules, TransformationRules
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
@@ -49,7 +46,8 @@ class ClimbResult:
     Attributes
     ----------
     plan:
-        The locally Pareto-optimal plan reached by the climb.
+        The locally Pareto-optimal plan reached by the climb (an arena
+        handle).
     path_length:
         Number of strictly improving moves performed (the statistic shown in
         Figure 3, left).
@@ -57,176 +55,51 @@ class ClimbResult:
         Number of plan nodes constructed during the climb (work counter).
     """
 
-    plan: Plan
+    plan: int
     path_length: int
     plans_built: int
 
 
-class ParetoClimber:
+class ArenaParetoClimber:
     """Multi-objective hill climbing over the bushy plan space.
 
-    Parameters
-    ----------
-    factory:
-        Plan factory used to build mutated plans.
-    rules:
-        The local transformation rules defining the neighborhood.
-    max_steps:
-        Safety bound on the number of climbing steps (the climb always
-        terminates because every move strictly dominates its predecessor,
-        but a bound keeps worst cases predictable).
-    store:
-        Frontier store policy (see :mod:`repro.pareto.store`) accelerating
-        the per-format candidate pruning: any indexed policy resolves large
-        candidate groups through the first-objective-windowed
-        :func:`~repro.pareto.store.sorted_dominance_fold`, ``"flat"`` pins
-        the plain vectorized fold.  The selected plan is identical either
-        way.
-    """
-
-    def __init__(
-        self,
-        factory: PlanFactory,
-        rules: TransformationRules | None = None,
-        max_steps: int = 10_000,
-        store: str | None = None,
-    ) -> None:
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {max_steps}")
-        self._factory = factory
-        self._rules = rules if rules is not None else TransformationRules()
-        self._max_steps = max_steps
-        self._store_policy = resolve_store_policy(store)
-        self._plans_built = 0
-
-    # ------------------------------------------------------------ ParetoStep
-    def pareto_step(self, plan: Plan) -> Dict[DataFormat, Plan]:
-        """One parallel transformation step (function ``ParetoStep``).
-
-        Returns the best mutated plan found for each output data
-        representation.  Sub-plans are improved by recursive calls before
-        mutations are applied at this node, so a single step can change many
-        independent parts of the plan tree.
-        """
-        candidates: List[Plan]
-        if isinstance(plan, JoinPlan):
-            outer_pareto = self.pareto_step(plan.outer)
-            inner_pareto = self.pareto_step(plan.inner)
-            candidates = []
-            for outer in outer_pareto.values():
-                for inner in inner_pareto.values():
-                    rebuilt = self._rebuild(plan, outer, inner)
-                    candidates.extend(self._rules.mutations(rebuilt, self._factory))
-        else:
-            candidates = self._rules.mutations(plan, self._factory)
-        self._plans_built += len(candidates)
-        return self._prune_per_format(candidates)
-
-    # ----------------------------------------------------------- ParetoClimb
-    def climb(self, plan: Plan) -> ClimbResult:
-        """Climb from ``plan`` until no neighbor strictly dominates it."""
-        built_before = self._plans_built
-        current = plan
-        path_length = 0
-        improving = True
-        while improving and path_length < self._max_steps:
-            improving = False
-            mutations = self.pareto_step(current)
-            for mutated in mutations.values():
-                if strictly_dominates(mutated.cost, current.cost):
-                    current = mutated
-                    path_length += 1
-                    improving = True
-                    break
-        return ClimbResult(
-            plan=current,
-            path_length=path_length,
-            plans_built=self._plans_built - built_before,
-        )
-
-    # ------------------------------------------------------------ accessors
-    @property
-    def plans_built(self) -> int:
-        """Total number of candidate plans constructed by this climber."""
-        return self._plans_built
-
-    @property
-    def rules(self) -> TransformationRules:
-        """The transformation rules defining the neighborhood."""
-        return self._rules
-
-    @property
-    def store_policy(self) -> str:
-        """Frontier-store policy used for large-group pruning."""
-        return self._store_policy
-
-    # ------------------------------------------------------------- internals
-    def _rebuild(self, original: JoinPlan, outer: Plan, inner: Plan) -> JoinPlan:
-        """Rebuild the original join on top of possibly improved children."""
-        if outer is original.outer and inner is original.inner:
-            return original
-        return self._rules.rebuild_join(outer, inner, original.operator, self._factory)
-
-    def _prune_per_format(self, candidates: List[Plan]) -> Dict[DataFormat, Plan]:
-        """Keep one non-dominated candidate per output data representation.
-
-        When two candidates of the same representation are mutually
-        non-dominated the incumbent is kept; Section 4.2 explicitly allows
-        selecting an arbitrary non-dominated neighbor instead of branching.
-        Large candidate groups resolve the sequential fold through a
-        vectorized kernel — :func:`repro.pareto.engine.dominance_fold`
-        under the ``flat`` policy, the first-objective-windowed
-        :func:`repro.pareto.store.sorted_dominance_fold` under any indexed
-        policy — both of which select exactly the same plan as the scalar
-        loop.
-        """
-        fold = dominance_fold if self._store_policy == "flat" else sorted_dominance_fold
-        groups: Dict[DataFormat, List[Plan]] = {}
-        for candidate in candidates:
-            groups.setdefault(candidate.output_format, []).append(candidate)
-        best: Dict[DataFormat, Plan] = {}
-        for output_format, group in groups.items():
-            if len(group) > SMALL_SET_SIZE:
-                costs = as_cost_matrix([plan.cost for plan in group])
-                best[output_format] = group[fold(costs)]
-                continue
-            incumbent = group[0]
-            for candidate in group[1:]:
-                if strictly_dominates(candidate.cost, incumbent.cost):
-                    incumbent = candidate
-            best[output_format] = incumbent
-        return best
-
-
-class ArenaParetoClimber:
-    """Multi-objective hill climbing on the columnar engine.
-
-    The algorithm is :class:`ParetoClimber`'s, move for move; the difference
-    is purely mechanical.  Where the object climber recurses node by node,
-    a ``ParetoStep`` here walks the plan tree one height at a time, bottom
-    up.  Nodes of equal height are never ancestor and descendant, so no
-    node's neighborhood depends on another's winners: each height
-    *describes* the neighborhoods of all its nodes as uncosted
+    A ``ParetoStep`` walks the plan tree one height at a time, bottom up.
+    Nodes of equal height are never ancestor and descendant, so no node's
+    neighborhood depends on another's winners: each height *describes* the
+    neighborhoods of all its nodes as uncosted
     :class:`~repro.cost.batch.JoinSpec` candidates (via
-    :class:`~repro.plans.transformations.ArenaTransformationRules`), with
-    each node's rebuild on improved children and the structural
-    intermediates as pending specs, costs them in one batched
-    :meth:`~repro.cost.batch.BatchCostModel.cost_specs` call, and prunes
-    each node per output format.  Only the per-format winners (and the
-    intermediates they use) are realized into arena nodes, so a climb
-    allocates a handful of rows per step instead of one ``Plan`` tree per
-    candidate.
+    :class:`~repro.plans.transformations.ArenaTransformationRules`) — each
+    node's rebuild on its children's winners and the structural
+    intermediates are pending specs — costs them in one batched
+    :meth:`~repro.cost.batch.BatchCostModel.cost_specs` call, and keeps one
+    non-dominated candidate per output format and node.  Only these
+    winners (and the intermediates they use) become arena nodes, so a
+    climb allocates a handful of rows per step.
 
     ``ParetoStep`` is a pure function of the (hash-consed) plan handle, so
     its result is memoized per handle: successive climb steps share every
     sub-tree that did not change, and repeated encounters of the same
     sub-plan across iterations are dictionary hits.  The work counter is
     charged as if the sub-tree had been re-derived (each memo entry records
-    its sub-tree's candidate count), so ``plans_built`` matches the object
-    climber exactly.
+    its sub-tree's candidate count), so ``plans_built`` counts every
+    candidate of every step.
 
-    Selected plans, path lengths, and the ``plans_built`` counter are
-    identical to the object climber (``tests/test_arena.py``).
+    Parameters
+    ----------
+    model:
+        Batch cost model whose arena holds the plans.
+    rules:
+        Ablation flags of the neighborhood (all rules by default).
+    max_steps:
+        Safety bound on the number of climbing steps (the climb always
+        terminates because every move strictly dominates its predecessor,
+        but a bound keeps worst cases predictable).
+    store:
+        Frontier store policy (see :mod:`repro.pareto.store`) of the
+        per-format pruning: any indexed policy folds large candidate groups
+        through the first-objective-windowed
+        :func:`~repro.pareto.store.sorted_dominance_fold`, ``"flat"`` pins
+        the plain vectorized fold.  The selected plan is the same either way.
     """
 
     def __init__(
@@ -361,10 +234,14 @@ class ArenaParetoClimber:
         return ref.cost
 
     def _prune_per_format(self, candidates: "List[PlanRef]") -> Dict[int, int]:
-        """Keep one non-dominated candidate per output format (see object twin).
+        """Keep one non-dominated candidate per output format.
 
-        Winners are realized into arena handles; losing candidates never
-        touch the arena.
+        When two candidates of the same format are mutually non-dominated
+        the incumbent is kept; Section 4.2 explicitly allows selecting an
+        arbitrary non-dominated neighbor instead of branching.  Large groups
+        resolve the sequential fold through a vectorized kernel, which
+        selects the same candidate.  Winners are realized into arena
+        handles; losing candidates never touch the arena.
         """
         fold = dominance_fold if self._store_policy == "flat" else sorted_dominance_fold
         model = self._model

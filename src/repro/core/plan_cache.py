@@ -13,12 +13,11 @@ With α > 1 the cache therefore stores an α-approximate Pareto set per table
 set, whose size is bounded polynomially in the number of tables (Lemma 6);
 with α = 1 it stores the exact non-dominated set.
 
-Each per-table-set entry is backed by a vectorized
-:class:`repro.pareto.engine.ParetoSet` whose rows are tagged with the plan's
-output data representation, so the ``SigBetter`` comparison (same format and
-α-dominant cost) runs as one batched kernel call once an entry grows beyond
-a handful of plans.  Plan insertion order — and therefore every downstream
-iteration order — is identical to the original pure-Python implementation.
+Each entry keeps its plans as arena handles, their output-format tags and
+their cost rows as one contiguous matrix, so the ``SigBetter`` comparison
+(same format and α-dominant cost) of a whole candidate batch runs as a few
+array passes.  Every accept/evict decision, and therefore every downstream
+iteration order, equals inserting the candidates one at a time.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tup
 import numpy as np
 
 from repro.obs import global_metrics
-from repro.pareto.dominance import approx_dominates, dominates
 from repro.pareto.engine import (
-    ParetoSet,
     approx_dominates_matrix,
     batch_insert_masks,
     dominates_matrix,
@@ -39,133 +36,6 @@ from repro.plans.plan import Plan
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
     from repro.cost.batch import BatchCostModel, CandidateBatch
-
-
-class PlanCache:
-    """Cache of non-dominated partial plans per intermediate result.
-
-    ``store`` pins the frontier store backing each per-table-set entry (see
-    :mod:`repro.pareto.store`).  The default ``auto`` policy keeps the
-    typically hand-sized entries on the flat fast path and only builds an
-    index for table sets whose frontiers grow unusually large.
-    """
-
-    def __init__(self, store: str | None = None) -> None:
-        self._store = store
-        self._entries: Dict[FrozenSet[int], Tuple[List[Plan], ParetoSet]] = {}
-        # Output formats are compared by identity (``is``), exactly like the
-        # original ``SigBetter``; each distinct format object gets a small
-        # integer tag used by the kernel.  The reference list pins the keyed
-        # objects so id() values stay unique.
-        self._format_tags: Dict[int, int] = {}
-        self._format_refs: List[object] = []
-
-    # ------------------------------------------------------------ accessors
-    def plans(self, relations: FrozenSet[int] | Iterable[int]) -> List[Plan]:
-        """Cached plans joining exactly the given table set (``P[rel]``)."""
-        key = frozenset(relations)
-        entry = self._entries.get(key)
-        return list(entry[0]) if entry is not None else []
-
-    def table_sets(self) -> List[FrozenSet[int]]:
-        """All intermediate results that currently have cached plans."""
-        return list(self._entries)
-
-    def __contains__(self, relations: object) -> bool:
-        if not isinstance(relations, (frozenset, set)):
-            return False
-        return frozenset(relations) in self._entries
-
-    def __len__(self) -> int:
-        """Number of cached intermediate results."""
-        return len(self._entries)
-
-    @property
-    def total_plans(self) -> int:
-        """Total number of cached partial plans over all intermediate results."""
-        return sum(len(plans) for plans, _ in self._entries.values())
-
-    def size_of(self, relations: FrozenSet[int] | Iterable[int]) -> int:
-        """Number of cached plans for one intermediate result."""
-        entry = self._entries.get(frozenset(relations))
-        return len(entry[0]) if entry is not None else 0
-
-    # -------------------------------------------------------------- updates
-    def insert(self, plan: Plan, alpha: float = 1.0) -> bool:
-        """Insert a partial plan using Algorithm 3's pruning rule.
-
-        Returns True when the plan was kept.  ``alpha`` is the approximation
-        factor of the current iteration; larger values keep the per-table-set
-        plan sets smaller.
-        """
-        if alpha < 1.0:
-            raise ValueError(f"approximation factor must be at least 1, got {alpha}")
-        key = plan.rel
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = ([], ParetoSet(store=self._store))
-            self._entries[key] = entry
-        plans, costs = entry
-        accepted, evicted = costs.insert(
-            plan.cost, alpha=alpha, tag=self._format_tag(plan.output_format)
-        )
-        metrics = global_metrics()
-        metrics.add("frontier.candidates")
-        if not accepted:
-            metrics.add("frontier.rejected")
-            return False
-        metrics.add("frontier.accepted")
-        if evicted:
-            metrics.add("frontier.evicted", len(evicted))
-        if evicted:
-            removed = set(evicted)
-            entry = (
-                [p for index, p in enumerate(plans) if index not in removed],
-                costs,
-            )
-            self._entries[key] = entry
-            plans = entry[0]
-        plans.append(plan)
-        return True
-
-    def insert_all(self, plans: Iterable[Plan], alpha: float = 1.0) -> int:
-        """Insert several plans; returns how many were kept."""
-        return sum(1 for plan in plans if self.insert(plan, alpha))
-
-    def clear(self) -> None:
-        """Drop every cached plan."""
-        self._entries.clear()
-
-    # ------------------------------------------------------------- queries
-    def frontier_costs(
-        self, relations: FrozenSet[int] | Iterable[int]
-    ) -> List[Tuple[float, ...]]:
-        """Cost vectors of the cached plans for one intermediate result."""
-        return [plan.cost for plan in self.plans(relations)]
-
-    # ------------------------------------------------------------ internals
-    def _format_tag(self, output_format: object) -> int:
-        tag = self._format_tags.get(id(output_format))
-        if tag is None:
-            tag = len(self._format_refs)
-            self._format_tags[id(output_format)] = tag
-            self._format_refs.append(output_format)
-        return tag
-
-    @staticmethod
-    def _sig_better(first: Plan, second: Plan, alpha: float) -> bool:
-        """``SigBetter`` from Algorithm 3: same output format and α-dominant cost.
-
-        Kept as the scalar specification of the tagged kernel comparison.
-        """
-        if first.output_format is not second.output_format:
-            return False
-        if alpha == 1.0:
-            return dominates(first.cost, second.cost)
-        return approx_dominates(first.cost, second.cost, alpha)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PlanCache(table_sets={len(self)}, total_plans={self.total_plans})"
 
 
 #: Minimum size of an α = 1 batch that runs the per-tag whole-batch kernel
@@ -187,15 +57,13 @@ class _ArenaEntry:
 
 
 class ArenaPlanCache:
-    """The partial-plan cache of the columnar engine: handles, not objects.
+    """Cache of non-dominated partial plans per intermediate result.
 
-    Mirrors :class:`PlanCache` decision for decision — same ``SigBetter``
-    rule, same insertion order, same eviction bookkeeping — but each cached
-    plan is a :class:`~repro.plans.arena.PlanArena` handle, each entry keeps
-    its cost rows as a contiguous matrix, and whole candidate batches (the
-    cross product of two sub-plan frontiers × join operators) are inserted
-    through one insertion kernel, :func:`_insert_batch` — the same kernel
-    the DP's subset reducer runs through :class:`FrontierSimulator`:
+    Each cached plan is a :class:`~repro.plans.arena.PlanArena` handle.
+    Whole candidate batches (the cross product of two sub-plan frontiers ×
+    join operators) are inserted through one insertion kernel,
+    :func:`_insert_batch` — the same kernel the DP's subset reducer runs
+    through :class:`FrontierSimulator`:
 
     * with **α = 1** rows of different output formats never interact, so a
       batch of at least :data:`_PREFILTER_MIN_BATCH` rows decomposes per
@@ -207,14 +75,11 @@ class ArenaPlanCache:
       *accepted* row (:func:`_insert_batch_approx`).
 
     Every accept/evict decision, and the resulting frontier order, equals
-    the scalar path's.  Only accepted candidates are realized into arena
-    nodes.  ``store`` is accepted for interface parity with
-    :class:`PlanCache` but ignored: the batch kernels play the role the
-    indexed frontier stores play on the object path.
+    inserting the rows one by one.  Only accepted candidates are realized
+    into arena nodes.
     """
 
-    def __init__(self, model: "BatchCostModel", store: str | None = None) -> None:
-        del store  # interface parity; see the class docstring
+    def __init__(self, model: "BatchCostModel") -> None:
         self._model = model
         self._arena = model.arena
         self._num_metrics = model.num_metrics
@@ -294,11 +159,11 @@ class ArenaPlanCache:
         row = np.asarray(self._arena.cost(handle), dtype=np.float64)
         metrics = global_metrics()
         metrics.add("frontier.candidates")
-        if self._covered(entry, tag, row, alpha):
+        if _entry_covered(entry, tag, row, alpha):
             metrics.add("frontier.rejected")
             return False
         before = len(entry.handles)
-        self._append_row(entry, handle, tag, row)
+        _entry_append(entry, handle, tag, row)
         metrics.add("frontier.accepted")
         evicted = before + 1 - len(entry.handles)
         if evicted:
@@ -410,18 +275,6 @@ class ArenaPlanCache:
         kept = new_keep.tolist()
         entry.handles.extend(int(handles[k]) for k in kept)
         entry.tags.extend(int(tags[k]) for k in kept)
-
-    @staticmethod
-    def _covered(entry: _ArenaEntry, tag: int, row: np.ndarray, alpha: float) -> bool:
-        """Whether a same-tag entry row α-dominates ``row`` (``SigBetter``)."""
-        return _entry_covered(entry, tag, row, alpha)
-
-    @staticmethod
-    def _append_row(
-        entry: _ArenaEntry, handle: int, tag: int, row: np.ndarray
-    ) -> None:
-        """Append an accepted row, evicting same-tag rows it dominates."""
-        _entry_append(entry, handle, tag, row)
 
     def clear(self) -> None:
         """Drop every cached plan."""
@@ -667,7 +520,7 @@ def _insert_batch_approx(
 
 
 class FrontierSimulator:
-    """Replays :class:`ArenaPlanCache` insertion decisions off to the side.
+    """Takes :class:`ArenaPlanCache` insertion decisions off to the side.
 
     The DP's subset reducer owns the frontier of exactly one table subset —
     which starts empty and is touched by nobody else — so it can decide
@@ -681,45 +534,6 @@ class FrontierSimulator:
     def __init__(self, num_metrics: int) -> None:
         self._entry = _ArenaEntry(num_metrics)
         self._num_metrics = num_metrics
-
-    @classmethod
-    def from_columns(
-        cls,
-        num_metrics: int,
-        handles: Sequence[int],
-        tags: Sequence[int],
-        rows: np.ndarray,
-    ) -> "FrontierSimulator":
-        """Construct a simulator over borrowed frontier columns, copy-free.
-
-        ``rows`` is adopted as-is — e.g. a read-only view into a published
-        shared-memory segment or an arena column snapshot.  The insertion
-        kernels never write into an existing row matrix (they only replace
-        it wholesale on change), so a read-only borrow is safe; the first
-        mutating batch leaves the borrowed source untouched.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != num_metrics:
-            raise ValueError(
-                f"rows must be (n, {num_metrics}), got shape {rows.shape}"
-            )
-        if not (len(handles) == len(tags) == rows.shape[0]):
-            raise ValueError("handles, tags, and rows must have equal length")
-        simulator = cls(num_metrics)
-        entry = simulator._entry
-        entry.handles = [int(handle) for handle in handles]
-        entry.tags = [int(tag) for tag in tags]
-        entry.rows = rows
-        return simulator
-
-    def columns(self) -> Tuple[List[int], List[int], np.ndarray]:
-        """The scratch frontier's ``(handles, tags, rows)`` columns.
-
-        The inverse of :meth:`from_columns`: ``rows`` is the live matrix
-        (not a copy), in frontier order.
-        """
-        entry = self._entry
-        return entry.handles, entry.tags, entry.rows
 
     def insert_batch(
         self, batch: "CandidateBatch", alpha: float, base: int = 0

@@ -18,77 +18,20 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, List
 
-from repro.cost.model import PlanFactory
-from repro.plans.plan import Plan
-
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.cost.batch import BatchCostModel
 
 
-class RandomPlanGenerator:
-    """Generates random query plans for one query/cost model.
+class ArenaRandomPlanGenerator:
+    """Generates random query plans for one query, as arena handles.
 
     Parameters
     ----------
-    factory:
-        Plan factory (cost model) used to build and cost the plans.
+    model:
+        Batch cost model whose arena the plans are built into.
     rng:
         Source of randomness; inject a seeded ``random.Random`` for
         reproducible runs.
-    """
-
-    def __init__(self, factory: PlanFactory, rng: random.Random | None = None) -> None:
-        self._factory = factory
-        self._rng = rng if rng is not None else random.Random()
-
-    # ------------------------------------------------------------ bushy plans
-    def random_bushy_plan(self) -> Plan:
-        """A uniformly random bushy plan with random operator choices."""
-        partial_plans = self._random_leaves()
-        while len(partial_plans) > 1:
-            outer = partial_plans.pop(self._rng.randrange(len(partial_plans)))
-            inner = partial_plans.pop(self._rng.randrange(len(partial_plans)))
-            partial_plans.append(self._random_join(outer, inner))
-        return partial_plans[0]
-
-    def random_left_deep_plan(self) -> Plan:
-        """A random left-deep plan (outer child is always the composite)."""
-        table_indices = list(self._factory.query.relations)
-        self._rng.shuffle(table_indices)
-        plan = self._random_scan(table_indices[0])
-        for table_index in table_indices[1:]:
-            plan = self._random_join(plan, self._random_scan(table_index))
-        return plan
-
-    def random_plans(self, count: int) -> List[Plan]:
-        """Generate ``count`` independent random bushy plans."""
-        return [self.random_bushy_plan() for _ in range(count)]
-
-    # ------------------------------------------------------------- internals
-    def _random_leaves(self) -> List[Plan]:
-        leaves = [
-            self._random_scan(table_index)
-            for table_index in sorted(self._factory.query.relations)
-        ]
-        self._rng.shuffle(leaves)
-        return leaves
-
-    def _random_scan(self, table_index: int) -> Plan:
-        operator = self._rng.choice(self._factory.scan_operators(table_index))
-        return self._factory.make_scan(table_index, operator)
-
-    def _random_join(self, outer: Plan, inner: Plan) -> Plan:
-        operator = self._rng.choice(self._factory.join_operators(outer, inner))
-        return self._factory.make_join(outer, inner, operator)
-
-
-class ArenaRandomPlanGenerator:
-    """``RandomPlan`` on the columnar engine: same draws, handle results.
-
-    Mirrors :class:`RandomPlanGenerator` call for call — identical RNG
-    consumption (every ``choice``/``shuffle``/``randrange`` happens in the
-    same order over sequences of the same length), so a seeded run produces
-    the same plans as the object generator, just as arena handles.
     """
 
     def __init__(

@@ -12,19 +12,10 @@ Each iteration performs the three steps of Section 4.1:
 The result plan set after any number of iterations is the cached plan set for
 the full query table set, ``P[q]``.
 
-Two interchangeable engines execute the loop:
-
-* ``"arena"`` (default) — the columnar engine: plans are
-  :class:`~repro.plans.arena.PlanArena` handles, hill-climbing neighborhoods
-  and the frontier-combination cross products are costed by the batch kernel
-  (:mod:`repro.cost.batch`), and ``Plan`` objects are materialized only when
-  :meth:`RMQOptimizer.frontier` is called;
-* ``"object"`` — the original ``Plan``-tree implementation, kept as the
-  property-tested scalar reference.
-
-Both engines produce bit-identical results — same frontier contents and
-order, same RNG stream, same work counters (pinned by
-``tests/test_arena.py``); pin one per process with ``REPRO_PLAN_ENGINE``.
+Plans are :class:`~repro.plans.arena.PlanArena` handles: hill-climbing
+neighborhoods and the frontier-combination cross products are costed by
+the batch kernel (:mod:`repro.cost.batch`), and ``Plan`` objects are
+materialized only when :meth:`RMQOptimizer.frontier` is called.
 """
 
 from __future__ import annotations
@@ -32,18 +23,13 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.core.frontier import (
-    AlphaSchedule,
-    ArenaFrontierApproximator,
-    FrontierApproximator,
-)
+from repro.core.frontier import AlphaSchedule, ArenaFrontierApproximator
 from repro.core.interface import AnytimeOptimizer
-from repro.core.pareto_climb import ArenaParetoClimber, ParetoClimber
-from repro.core.plan_cache import ArenaPlanCache, PlanCache
-from repro.core.random_plans import ArenaRandomPlanGenerator, RandomPlanGenerator
+from repro.core.pareto_climb import ArenaParetoClimber
+from repro.core.plan_cache import ArenaPlanCache
+from repro.core.random_plans import ArenaRandomPlanGenerator
 from repro.cost.batch import BatchCostModel
 from repro.cost.model import MultiObjectiveCostModel
-from repro.plans.arena import resolve_plan_engine
 from repro.plans.plan import Plan
 from repro.plans.transformations import TransformationRules
 
@@ -74,13 +60,9 @@ class RMQOptimizer(AnytimeOptimizer):
         When True, random plans are drawn from the left-deep space instead of
         the unconstrained bushy space (Section 4.1 notes this variation).
     store:
-        Frontier store policy (see :mod:`repro.pareto.store`) passed through
-        to the plan cache and the hill climber; results are identical for
-        every policy, only query acceleration differs.
-    engine:
-        Plan engine: ``"arena"`` (columnar, batch-costed; the default) or
-        ``"object"`` (the scalar reference).  ``None`` resolves through the
-        ``REPRO_PLAN_ENGINE`` environment variable.  Results are identical.
+        Frontier store policy (see :mod:`repro.pareto.store`) of the hill
+        climber's per-format pruning; results are identical for every
+        policy, only query acceleration differs.
     """
 
     name = "RMQ"
@@ -95,28 +77,15 @@ class RMQOptimizer(AnytimeOptimizer):
         use_climbing: bool = True,
         left_deep_only: bool = False,
         store: str | None = None,
-        engine: str | None = None,
     ) -> None:
         super().__init__(cost_model)
         self._rng = rng if rng is not None else random.Random()
         self._rules = rules if rules is not None else TransformationRules()
-        self._engine = resolve_plan_engine(engine)
-        if self._engine == "arena":
-            self._batch_model = BatchCostModel(cost_model)
-            self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
-            self._climber = ArenaParetoClimber(
-                self._batch_model, self._rules, store=store
-            )
-            self._approximator = ArenaFrontierApproximator(
-                self._batch_model, schedule
-            )
-            self._cache = ArenaPlanCache(self._batch_model, store=store)
-        else:
-            self._batch_model = None
-            self._generator = RandomPlanGenerator(cost_model, self._rng)
-            self._climber = ParetoClimber(cost_model, self._rules, store=store)
-            self._approximator = FrontierApproximator(cost_model, schedule)
-            self._cache = PlanCache(store=store)
+        self._batch_model = BatchCostModel(cost_model)
+        self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
+        self._climber = ArenaParetoClimber(self._batch_model, self._rules, store=store)
+        self._approximator = ArenaFrontierApproximator(self._batch_model, schedule)
+        self._cache = ArenaPlanCache(self._batch_model)
         self._iteration = 0
         self._use_plan_cache = use_plan_cache
         self._use_climbing = use_climbing
@@ -125,18 +94,9 @@ class RMQOptimizer(AnytimeOptimizer):
 
     # ------------------------------------------------------------ accessors
     @property
-    def engine(self) -> str:
-        """The plan engine executing the loop (``"arena"`` or ``"object"``)."""
-        return self._engine
-
-    @property
-    def plan_cache(self) -> PlanCache | ArenaPlanCache:
-        """The partial-plan cache shared across iterations.
-
-        Under the arena engine this is an
-        :class:`~repro.core.plan_cache.ArenaPlanCache`, which answers the
-        same read API (``plans`` materializes handles on access).
-        """
+    def plan_cache(self) -> ArenaPlanCache:
+        """The partial-plan cache shared across iterations (``plans``
+        materializes handles on access)."""
         return self._cache
 
     @property
@@ -182,17 +142,14 @@ class RMQOptimizer(AnytimeOptimizer):
         return self._cache.plans(self.query.relations)
 
     # ------------------------------------------------------------ internals
-    def _random_plan(self):
+    def _random_plan(self) -> int:
         if self._left_deep_only:
             return self._generator.random_left_deep_plan()
         return self._generator.random_bushy_plan()
 
     def _drop_partial_plans(self) -> None:
         """Ablation hook: forget partial plans, keeping only complete plans."""
-        if isinstance(self._cache, ArenaPlanCache):
-            complete = self._cache.handles(self.query.relations)
-        else:
-            complete = self._cache.plans(self.query.relations)
+        complete = self._cache.handles(self.query.relations)
         self._cache.clear()
-        for plan in complete:
-            self._cache.insert(plan)
+        for handle in complete:
+            self._cache.insert(handle)

@@ -22,8 +22,9 @@ Candidates are *described and costed before any node is created*; only the
 candidates a frontier accepts (or a climb selects) are realized into arena
 rows, so the arena grows with kept plans, not evaluated ones.
 
-Every number produced here is bit-identical to the object path: the scalar
-kernels are the same ``join_cost_cards`` functions the object model calls,
+Every number produced here is bit-identical to costing ``Plan`` objects
+through :class:`~repro.cost.model.MultiObjectiveCostModel`: the scalar
+kernels are the same ``join_cost_cards`` functions that model calls,
 and the vectorized kernels perform the same IEEE-754 operations (pinned by
 ``tests/test_arena.py``).
 """
@@ -141,9 +142,9 @@ class BatchCostModel:
     Parameters
     ----------
     cost_model:
-        The object cost model supplying query, metrics, operator library and
+        The cost model supplying query, metrics, operator library and
         configuration; scalar costing delegates to its metric instances, so
-        both engines share one set of formulas.
+        arena handles and ``Plan`` objects share one set of formulas.
     arena:
         Optional existing arena (defaults to a fresh one for the model's
         query/library/metrics).
@@ -627,8 +628,8 @@ class BatchCostModel:
         are costed in array expressions (one kernel pass per distinct
         operator); no arena nodes are created.  The batch row order matches
         the scalar loop ``for outer: for inner: for op``, so inserting the
-        rows sequentially into a frontier reproduces the object path
-        decision for decision.
+        rows sequentially into a frontier reproduces that loop decision for
+        decision.
         """
         if len(outer_handles) == 0 or len(inner_handles) == 0:
             return self._empty_batch()

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.scenario import ScenarioSpec
@@ -46,6 +45,7 @@ from repro.bench.tasks import (
 )
 from repro.obs import get_tracer
 from repro.obs.metrics import Metrics
+from repro.utils.atomic import write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -65,47 +65,6 @@ CACHE_RAW_BYTES_MAGIC = b"repro-task-cache-bin-v1\n"
 
 #: File suffixes that count as cache entries (LRU accounting and ``len``).
 _ENTRY_SUFFIXES = (".json", ".bin")
-
-
-def write_json_atomic(path: str, payload: dict) -> None:
-    """Write a JSON file atomically (temp file + ``os.replace``).
-
-    Readers — including other processes sharing the cache directory —
-    only ever observe the complete file.
-    """
-    directory = os.path.dirname(path)
-    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
-def write_bytes_atomic(path: str, data: bytes) -> None:
-    """Write a binary file atomically (temp file + ``os.replace``).
-
-    The binary twin of :func:`write_json_atomic`, used by the cache's
-    packed-bytes tier.
-    """
-    directory = os.path.dirname(path)
-    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".bin")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
 
 
 class TaskCache:
@@ -309,15 +268,14 @@ class TaskCache:
         except (OSError, ValueError):
             pass
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_json_atomic(
-            path,
-            {
-                "format": CACHE_ENTRY_FORMAT,
-                "key": key,
-                "task_id": result.task.task_id,
-                "result": result.to_json_dict(),
-            },
-        )
+        entry = {
+            "format": CACHE_ENTRY_FORMAT,
+            "key": key,
+            "task_id": result.task.task_id,
+            "result": result.to_json_dict(),
+        }
+        # json.dumps raises on a result it cannot encode, before any write.
+        write_atomic(path, (json.dumps(entry) + "\n").encode("utf-8"))
         self._count("stores")
         self._count_written(path)
         if self._max_bytes is not None:
@@ -385,7 +343,7 @@ class TaskCache:
         except OSError:
             pass
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_bytes_atomic(path, prefix + payload)
+        write_atomic(path, prefix + payload)
         self._count("stores")
         self._count("bytes_written", len(prefix) + len(payload))
         if self._max_bytes is not None:

@@ -26,12 +26,11 @@ cache.hits                                                    3
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import List, Union
 
 from repro.obs.metrics import METRICS_SNAPSHOT_FORMAT, Histogram
 from repro.obs.tracer import Tracer
+from repro.utils.atomic import write_atomic
 
 __all__ = [
     "CHROME_TRACE_FORMAT",
@@ -51,25 +50,12 @@ _EMITTED_PHASES = ("X", "i")
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    """Write a JSON file atomically (temp file + ``os.replace``).
+    """Write a JSON file atomically (see :func:`repro.utils.atomic.write_atomic`).
 
-    The observability twin of :func:`repro.dist.cache.write_json_atomic`
-    (duplicated so :mod:`repro.obs` stays stdlib-only and importable from
-    every layer without cycles).
+    Values JSON cannot encode are written as their ``str()``, so a snapshot
+    never fails on an exotic label or argument.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, default=str)
-            handle.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, (json.dumps(payload, default=str) + "\n").encode("utf-8"))
 
 
 # --------------------------------------------------------------- chrome trace

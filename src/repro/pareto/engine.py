@@ -528,12 +528,11 @@ class ParetoSet:
     """Mutable set of cost rows kept mutually non-(α-)dominated.
 
     This is the storage kernel behind :class:`repro.pareto.frontier
-    .ParetoFrontier` and :class:`repro.core.plan_cache.PlanCache`: a
-    contiguous ``float64`` buffer grown by doubling, with a parallel tuple
-    list used for the small-set fast path.  Each row can carry an integer
-    ``tag``; insertion only compares rows with equal tags (the plan cache
-    tags rows with the plan's output data format, implementing the paper's
-    ``SigBetter``).  All mutating operations report which rows were evicted
+    .ParetoFrontier`: a contiguous ``float64`` buffer grown by doubling,
+    with a parallel tuple list used for the small-set fast path.  Each row
+    can carry an integer ``tag``; insertion only compares rows with equal
+    tags (a plan cache tags rows with the plan's output data format,
+    implementing the paper's ``SigBetter``).  All mutating operations report which rows were evicted
     so that callers can keep side-car data (items, plans) aligned.
 
     ``store`` selects the frontier store answering dominance queries (see

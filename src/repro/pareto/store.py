@@ -966,7 +966,7 @@ class NDTreeFrontier:
 
 
 # ---------------------------------------------------------------------------
-# Sorted-window dominance fold (ParetoClimber's pruning under indexed policy)
+# Sorted-window dominance fold (the climber's pruning under indexed policy)
 # ---------------------------------------------------------------------------
 def sorted_dominance_fold(matrix: np.ndarray) -> int:
     """Index selected by the sequential strict-dominance fold, via windows.

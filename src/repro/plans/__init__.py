@@ -7,7 +7,7 @@ representation* (materialized vs. pipelined), which is what the pseudo-code's
 ``SameOutput`` predicate compares.
 """
 
-from repro.plans.arena import PlanArena, resolve_plan_engine
+from repro.plans.arena import PlanArena
 from repro.plans.operators import (
     DataFormat,
     JoinOperator,
@@ -28,7 +28,6 @@ __all__ = [
     "ScanPlan",
     "JoinPlan",
     "PlanArena",
-    "resolve_plan_engine",
     "TransformationRules",
     "ArenaTransformationRules",
     "explain_plan",

@@ -38,7 +38,6 @@ The arena is storage only; costing lives in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -52,12 +51,7 @@ __all__ = [
     "ArenaColumnSnapshot",
     "PlanArena",
     "bits_members",
-    "resolve_plan_engine",
-    "PLAN_ENGINES",
 ]
-
-#: Engines accepted by the ``engine=`` parameter of the search algorithms.
-PLAN_ENGINES = ("arena", "object")
 
 _INITIAL_CAPACITY = 64
 
@@ -70,23 +64,6 @@ def bits_members(bits: int) -> Tuple[int, ...]:
         members.append(lowest.bit_length() - 1)
         bits ^= lowest
     return tuple(members)
-
-
-def resolve_plan_engine(engine: str | None) -> str:
-    """Resolve an ``engine=`` argument against the process-wide default.
-
-    ``None`` falls back to the ``REPRO_PLAN_ENGINE`` environment variable and
-    then to ``"arena"`` (the fast columnar path).  ``"object"`` pins the
-    original ``Plan``-tree implementation, which is kept as the property-tested
-    scalar reference.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_PLAN_ENGINE", "").strip() or "arena"
-    if engine not in PLAN_ENGINES:
-        raise ValueError(
-            f"unknown plan engine {engine!r}; expected one of {PLAN_ENGINES}"
-        )
-    return engine
 
 
 @dataclass(frozen=True)

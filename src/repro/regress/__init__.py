@@ -2,7 +2,7 @@
 
 The optimizers in this library are deterministic functions of their seeds:
 every frontier an algorithm produces is a pure function of
-``(workload, algorithm, engine, seed)``.  That makes exact regression
+``(workload, algorithm, seed)``.  That makes exact regression
 testing possible — and this package implements it:
 
 ``fingerprint``
@@ -17,8 +17,7 @@ testing possible — and this package implements it:
     drift reports.
 ``zoo``
     The workload zoo grid — join-graph shapes × statistics models ×
-    algorithms × plan engines — micro-scaled so the full sweep replays in
-    CI seconds.
+    algorithms — micro-scaled so the full sweep replays in CI seconds.
 
 Entry point: the ``regress`` subcommand of ``python -m repro.bench.cli``
 (``check`` / ``record`` / ``diff`` / ``lint``).

@@ -1,8 +1,7 @@
 """The pinned fingerprint archive and its drift reports.
 
 An archive maps :class:`Coordinate` keys — one per
-``(workload, algorithm, engine, seed, alpha)`` grid point of the workload
-zoo — to the frontier fingerprint pinned for that coordinate.  The pinned
+``(workload, algorithm, seed, alpha)`` grid point of the workload zoo — to the frontier fingerprint pinned for that coordinate.  The pinned
 file lives at ``tests/regression/archive.json`` and is the regression
 baseline: CI re-runs the zoo and any fingerprint that differs from its pin
 is reported as drift, naming the exact coordinate.
@@ -18,8 +17,8 @@ Design rules:
   hand-edited or truncated and the load fails naming it — a corrupt entry
   must never silently shrink the baseline.
 * **Atomic rewrite**: saving goes through
-  :func:`repro.dist.cache.write_json_atomic` (write temp file, fsync,
-  rename), so a crashed ``record`` can never leave a half-written pin file.
+  :func:`repro.utils.atomic.write_atomic` (write a temp file, then rename),
+  so a crashed ``record`` can never leave a half-written pin file.
 """
 
 from __future__ import annotations
@@ -29,14 +28,15 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.dist.cache import write_json_atomic
+from repro.utils.atomic import write_atomic
 
-#: Version tag of the archive file format.
-ARCHIVE_FORMAT = "repro-regress-archive-v1"
+#: Version tag of the archive file format (v2: coordinates carry no plan
+#: engine).
+ARCHIVE_FORMAT = "repro-regress-archive-v2"
 
 #: Version tag of the coordinate-signature derivation (see
 #: :data:`repro.bench.tasks.PROVENANCE_KEY_FORMAT` for the convention).
-REGRESS_KEY_FORMAT = "repro-regress-key-v1"
+REGRESS_KEY_FORMAT = "repro-regress-key-v2"
 
 
 def _canonical_json(payload: object) -> bytes:
@@ -55,14 +55,13 @@ class Coordinate:
 
     workload: str
     algorithm: str
-    engine: str
     seed: int
     alpha: float | None = None
 
     @property
     def label(self) -> str:
         """Human-readable coordinate label used in reports."""
-        parts = f"{self.workload} / {self.algorithm} / {self.engine} / seed={self.seed}"
+        parts = f"{self.workload} / {self.algorithm} / seed={self.seed}"
         if self.alpha is not None:
             parts += f" / alpha={self.alpha}"
         return parts
@@ -77,7 +76,6 @@ class Coordinate:
         return {
             "workload": self.workload,
             "algorithm": self.algorithm,
-            "engine": self.engine,
             "seed": self.seed,
             "alpha": self.alpha,
         }
@@ -89,7 +87,6 @@ class Coordinate:
             return cls(
                 workload=str(data["workload"]),
                 algorithm=str(data["algorithm"]),
-                engine=str(data["engine"]),
                 seed=int(data["seed"]),
                 alpha=None if alpha is None else float(alpha),
             )
@@ -203,7 +200,7 @@ def load_archive(path: str) -> Archive:
 
 def save_archive(archive: Archive, path: str) -> None:
     """Atomically (re)write the pinned archive file."""
-    write_json_atomic(path, archive.to_json_dict())
+    write_atomic(path, (json.dumps(archive.to_json_dict()) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

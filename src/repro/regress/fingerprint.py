@@ -16,7 +16,7 @@ result-affecting detail changes, and never changes otherwise:
   operator choices, so a cost-identical frontier built from different plans
   still drifts.
 * **Order invariance** — rows are sorted canonically before hashing
-  (:func:`fingerprint_rows`), so frontier insertion order, plan-engine
+  (:func:`fingerprint_rows`), so frontier insertion order, arena
   internals, and set iteration order cannot affect the digest.
 
 Examples

@@ -9,8 +9,7 @@ inputs, so the full sweep replays in CI seconds:
   ``minmax`` (Bruno's MinMax selectivities), and ``job`` (the bundled
   micro-scaled IMDB/JOB catalog, fixed real statistics);
 * **8 algorithms** — DP(2), RMQ, II, SA, 2P, NSGA-II, WeightedSum,
-  RandomSampling;
-* **both plan engines** — ``arena`` (columnar) and ``object`` (plan trees).
+  RandomSampling.
 
 Every coordinate re-derives its query, cost model and RNG streams from
 :data:`ZOO_SEED` and the coordinate alone — the same purity discipline as
@@ -19,17 +18,21 @@ any machine.  Randomized algorithms run a fixed micro step budget; DP runs
 to completion under a step cap (its frontier stays empty until it
 finishes), and a DP leaf that fails to finish raises instead of pinning a
 half-run frontier.
+
+The object-plan oracle under ``tests/oracle`` reproduces every pinned
+fingerprint too (``tests/test_regress.py``), through the same inputs
+(:func:`coordinate_inputs`) and the same run (:func:`pin_run`).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Tuple
+import random
+from typing import Callable, Dict, List, Tuple
 
 from repro.bench.scenario import ScenarioScale, ScenarioSpec
 from repro.bench.tasks import build_optimizer, build_test_case, reference_alpha
-from repro.core.interface import run_steps
+from repro.core.interface import AnytimeOptimizer, run_steps
+from repro.cost.model import MultiObjectiveCostModel
 from repro.query.catalog import job_sample_catalog
 from repro.query.generator import CardinalityModel, SelectivityModel
 from repro.query.join_graph import GraphShape
@@ -77,9 +80,6 @@ ZOO_ALGORITHMS: Tuple[str, ...] = (
     "WeightedSum",
     "RandomSampling",
 )
-
-#: Plan engines of the zoo grid.
-ZOO_ENGINES: Tuple[str, ...] = ("arena", "object")
 
 #: Statistics models of the zoo grid, by name.
 ZOO_STAT_MODELS: Tuple[str, ...] = ("uniform", "zipf", "minmax", "job")
@@ -150,16 +150,14 @@ def zoo_coordinates() -> List[Coordinate]:
     for shape in ZOO_SHAPES:
         for stats in ZOO_STAT_MODELS:
             for algorithm in ZOO_ALGORITHMS:
-                for engine in ZOO_ENGINES:
-                    coordinates.append(
-                        Coordinate(
-                            workload=workload_name(shape, stats),
-                            algorithm=algorithm,
-                            engine=engine,
-                            seed=ZOO_SEED,
-                            alpha=_algorithm_alpha(algorithm),
-                        )
+                coordinates.append(
+                    Coordinate(
+                        workload=workload_name(shape, stats),
+                        algorithm=algorithm,
+                        seed=ZOO_SEED,
+                        alpha=_algorithm_alpha(algorithm),
                     )
+                )
     return coordinates
 
 
@@ -182,25 +180,13 @@ def _split_workload(workload: str) -> Tuple[GraphShape, str]:
     return shape, stats
 
 
-@contextmanager
-def _pinned_engine(engine: str) -> Iterator[None]:
-    """Pin the plan engine via the ``REPRO_PLAN_ENGINE`` convention."""
-    previous = os.environ.get("REPRO_PLAN_ENGINE")
-    os.environ["REPRO_PLAN_ENGINE"] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_PLAN_ENGINE"]
-        else:
-            os.environ["REPRO_PLAN_ENGINE"] = previous
+def coordinate_inputs(
+    coordinate: Coordinate,
+) -> Tuple[ScenarioSpec, MultiObjectiveCostModel, random.Random]:
+    """The scenario spec, cost model and algorithm RNG of one coordinate.
 
-
-def run_coordinate(coordinate: Coordinate) -> ArchiveEntry:
-    """Run one zoo coordinate and return its fresh archive entry.
-
-    Pure in the :mod:`repro.bench.tasks` sense: the query, cost model, and
-    algorithm RNG derive from the coordinate alone.
+    Pure in the :mod:`repro.bench.tasks` sense: all three derive from the
+    coordinate alone.
     """
     shape, stats = _split_workload(coordinate.workload)
     spec = workload_spec(shape, stats)
@@ -208,27 +194,39 @@ def run_coordinate(coordinate: Coordinate) -> ArchiveEntry:
         spec = ScenarioSpec.from_json_dict(
             {**spec.to_json_dict(), "seed": coordinate.seed}
         )
-    with _pinned_engine(coordinate.engine):
-        cost_model = build_test_case(spec, shape, ZOO_NUM_TABLES, 0)
-        rng = derive_rng(
-            spec.seed, "algo", coordinate.algorithm, str(shape), ZOO_NUM_TABLES, 0
+    cost_model = build_test_case(spec, shape, ZOO_NUM_TABLES, 0)
+    rng = derive_rng(
+        spec.seed, "algo", coordinate.algorithm, str(shape), ZOO_NUM_TABLES, 0
+    )
+    return spec, cost_model, rng
+
+
+def pin_run(coordinate: Coordinate, optimizer: AnytimeOptimizer) -> ArchiveEntry:
+    """Run ``optimizer`` for the coordinate's budget; fingerprint its frontier.
+
+    Randomized algorithms run :data:`ZOO_STEPS` steps; DP runs to
+    completion under :data:`DP_STEP_CAP` and raises if it does not finish.
+    """
+    is_exhaustive = coordinate.alpha is not None
+    run_steps(optimizer, max_steps=DP_STEP_CAP if is_exhaustive else ZOO_STEPS)
+    if is_exhaustive and not optimizer.finished:
+        raise RuntimeError(
+            f"{coordinate.label}: DP did not finish within {DP_STEP_CAP} "
+            f"steps — refusing to pin a partial frontier"
         )
-        optimizer = build_optimizer(coordinate.algorithm, cost_model, rng, spec)
-        is_exhaustive = coordinate.alpha is not None
-        run_steps(
-            optimizer, max_steps=DP_STEP_CAP if is_exhaustive else ZOO_STEPS
-        )
-        if is_exhaustive and not optimizer.finished:
-            raise RuntimeError(
-                f"{coordinate.label}: DP did not finish within {DP_STEP_CAP} "
-                f"steps — refusing to pin a partial frontier"
-            )
-        rows = frontier_rows(optimizer.frontier())
+    rows = frontier_rows(optimizer.frontier())
     return ArchiveEntry(
         coordinate=coordinate,
         fingerprint=fingerprint_rows(rows),
         frontier_size=len(rows),
     )
+
+
+def run_coordinate(coordinate: Coordinate) -> ArchiveEntry:
+    """Run one zoo coordinate and return its fresh archive entry."""
+    spec, cost_model, rng = coordinate_inputs(coordinate)
+    optimizer = build_optimizer(coordinate.algorithm, cost_model, rng, spec)
+    return pin_run(coordinate, optimizer)
 
 
 def run_zoo(
@@ -250,21 +248,18 @@ def run_zoo(
 
 
 def coverage_summary(archive: Archive) -> Dict[str, int]:
-    """Distinct shapes / statistics models / algorithms / engines pinned."""
+    """Distinct shapes / statistics models / algorithms pinned."""
     shapes = set()
     stats = set()
     algorithms = set()
-    engines = set()
     for entry in archive.entries():
         shape, stat = _split_workload(entry.coordinate.workload)
         shapes.add(shape)
         stats.add(stat)
         algorithms.add(entry.coordinate.algorithm)
-        engines.add(entry.coordinate.engine)
     return {
         "shapes": len(shapes),
         "stat_models": len(stats),
         "algorithms": len(algorithms),
-        "engines": len(engines),
         "entries": len(archive),
     }

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.random_sampling import RandomSamplingOptimizer
 from repro.bench.anytime import CheckpointRecord, evaluate_anytime, evaluate_steps
-from repro.baselines.dp import DPOptimizer
+from repro.baselines.dp import ArenaDPOptimizer
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ class TestEvaluateSteps:
         assert all(size >= 1 for size in sizes)
 
     def test_finished_optimizer_stops_early(self, two_metric_model):
-        dp = DPOptimizer(two_metric_model, alpha=2.0, tasks_per_step=10_000)
+        dp = ArenaDPOptimizer(two_metric_model, alpha=2.0, tasks_per_step=10_000)
         records = evaluate_steps(dp, [1, 2, 100])
         assert dp.finished
         assert records[-1].frontier_size > 0
@@ -120,7 +120,7 @@ class TestBudgetBoundary:
     def test_finished_optimizer_flushes_each_remaining_checkpoint_once(
         self, two_metric_model
     ):
-        dp = DPOptimizer(two_metric_model, alpha=2.0, tasks_per_step=10_000)
+        dp = ArenaDPOptimizer(two_metric_model, alpha=2.0, tasks_per_step=10_000)
         records = evaluate_anytime(dp, [10.0, 20.0], time_budget=30.0)
         assert dp.finished
         assert [record.checkpoint for record in records] == [10.0, 20.0]
@@ -129,7 +129,7 @@ class TestBudgetBoundary:
         # A step that crosses a checkpoint *and* finishes the optimizer must
         # still be followed by one tick, so the snapshot carries the elapsed
         # measured after that step — not the stale pre-step value.
-        dp = DPOptimizer(two_metric_model, alpha=2.0, tasks_per_step=10_000)
+        dp = ArenaDPOptimizer(two_metric_model, alpha=2.0, tasks_per_step=10_000)
         clock = FakeClock([0.0, 0.5, 2.0])
         records = evaluate_anytime(dp, [1.0], time_budget=5.0, clock=clock)
         assert [record.checkpoint for record in records] == [1.0]

@@ -7,11 +7,11 @@ Two layers of guarantees are pinned here:
    *bit-identical* to the scalar kernels (``join_cost_cards``), including
    NaN/inf cardinalities and extreme magnitudes (hypothesis property tests
    mirroring the style of ``tests/test_store.py``).
-2. **Engine equivalence** — every rewired search algorithm produces
-   bit-identical results under ``engine="arena"`` and ``engine="object"``:
-   same frontier contents and order, same RNG stream, same work counters —
-   for random queries, every operator library, ablation flags, and whole
-   step-driven benchmark scenarios.
+2. **Oracle equivalence** — every search algorithm produces the results of
+   the object-plan oracle (``tests/oracle``, the paper's pseudocode over
+   ``Plan`` trees): same frontier contents and order, same RNG stream, same
+   work counters — for random queries, every operator library and the
+   ablation flags.
 """
 
 import math
@@ -22,18 +22,19 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.baselines.iterative_improvement import IterativeImprovementOptimizer
 from repro.baselines.nsga2 import NSGA2Optimizer
 from repro.baselines.random_sampling import RandomSamplingOptimizer
 from repro.baselines.simulated_annealing import SimulatedAnnealingOptimizer
 from repro.baselines.two_phase import TwoPhaseOptimizer
+from repro.baselines.weighted_sum import WeightedSumOptimizer
 from repro.core.frontier import AlphaSchedule
 from repro.core.rmq import RMQOptimizer
 from repro.core.random_plans import ArenaRandomPlanGenerator
 from repro.cost.batch import SMALL_SPEC_BATCH, BatchCostModel, JoinSpec
 from repro.cost.metrics import CostModelConfig, metric_by_name
 from repro.cost.model import MultiObjectiveCostModel
-from repro.plans.arena import PLAN_ENGINES, resolve_plan_engine
 from repro.plans.operators import OperatorLibrary
 from repro.plans.transformations import ArenaTransformationRules, TransformationRules
 from repro.plans.validation import validate_plan
@@ -359,32 +360,33 @@ def _build_model(case, seed):
     )
 
 
-def _run_engine(optimizer_factory, case, seed, steps):
-    results = {}
-    for engine in PLAN_ENGINES:
-        model = _build_model(case, seed)
-        rng = random.Random(seed + 1)
-        optimizer = optimizer_factory(model, rng, engine)
-        optimizer.run(max_steps=steps)
-        results[engine] = (
-            [plan.cost for plan in optimizer.frontier()],
-            rng.getstate(),
-            optimizer.statistics.plans_built,
-            optimizer.statistics.steps,
-        )
-    return results
+def _run(optimizer_class, case, seed, steps, **kwargs):
+    """Frontier costs, RNG state and work counters after ``steps`` steps."""
+    model = _build_model(case, seed)
+    rng = random.Random(seed + 1)
+    optimizer = optimizer_class(model, rng=rng, **kwargs)
+    optimizer.run(max_steps=steps)
+    return (
+        [plan.cost for plan in optimizer.frontier()],
+        rng.getstate(),
+        optimizer.statistics.plans_built,
+        optimizer.statistics.steps,
+    )
+
+
+def _assert_matches_oracle(runtime_class, oracle_class, case, seed, steps, **kwargs):
+    expected = _run(oracle_class, case, seed, steps, **kwargs)
+    assert _run(runtime_class, case, seed, steps, **kwargs) == expected
 
 
 class TestEngineEquivalence:
-    """arena == object: frontiers, RNG stream, and work counters."""
+    """runtime == object oracle: frontiers, RNG stream, and work counters."""
 
     @pytest.mark.parametrize("case", ENGINE_CASES, ids=lambda case: repr(case))
     def test_rmq(self, case):
-        results = _run_engine(
-            lambda model, rng, engine: RMQOptimizer(model, rng=rng, engine=engine),
-            case, seed=21, steps=10,
+        _assert_matches_oracle(
+            RMQOptimizer, oracle.RMQOptimizer, case, seed=21, steps=10
         )
-        assert results["arena"] == results["object"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -402,113 +404,90 @@ class TestEngineEquivalence:
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_rmq_variants(self, kwargs):
-        results = _run_engine(
-            lambda model, rng, engine: RMQOptimizer(
-                model, rng=rng, engine=engine, **kwargs
-            ),
-            dict(), seed=33, steps=10,
+        _assert_matches_oracle(
+            RMQOptimizer, oracle.RMQOptimizer, dict(), seed=33, steps=10, **kwargs
         )
-        assert results["arena"] == results["object"]
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_random_sampling(self, seed):
-        results = _run_engine(
-            lambda model, rng, engine: RandomSamplingOptimizer(
-                model, rng=rng, engine=engine
-            ),
-            dict(), seed=seed, steps=8,
+        _assert_matches_oracle(
+            RandomSamplingOptimizer,
+            oracle.RandomSamplingOptimizer,
+            dict(),
+            seed=seed,
+            steps=8,
         )
-        assert results["arena"] == results["object"]
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_nsga2(self, seed):
-        results = _run_engine(
-            lambda model, rng, engine: NSGA2Optimizer(
-                model, rng=rng, engine=engine, population_size=16
-            ),
-            dict(), seed=seed, steps=5,
+        _assert_matches_oracle(
+            NSGA2Optimizer,
+            oracle.NSGA2Optimizer,
+            dict(),
+            seed=seed,
+            steps=5,
+            population_size=16,
         )
-        assert results["arena"] == results["object"]
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_iterative_improvement(self, seed):
-        results = _run_engine(
-            lambda model, rng, engine: IterativeImprovementOptimizer(
-                model, rng=rng, engine=engine
-            ),
-            dict(), seed=seed, steps=6,
+        _assert_matches_oracle(
+            IterativeImprovementOptimizer,
+            oracle.IterativeImprovementOptimizer,
+            dict(),
+            seed=seed,
+            steps=6,
         )
-        assert results["arena"] == results["object"]
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_simulated_annealing(self, seed):
-        results = _run_engine(
-            lambda model, rng, engine: SimulatedAnnealingOptimizer(
-                model, rng=rng, engine=engine
-            ),
-            dict(), seed=seed, steps=12,
+        _assert_matches_oracle(
+            SimulatedAnnealingOptimizer,
+            oracle.SimulatedAnnealingOptimizer,
+            dict(),
+            seed=seed,
+            steps=12,
         )
-        assert results["arena"] == results["object"]
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_two_phase(self, seed):
-        results = _run_engine(
-            lambda model, rng, engine: TwoPhaseOptimizer(
-                model, rng=rng, engine=engine
-            ),
-            dict(), seed=seed, steps=14,
+        _assert_matches_oracle(
+            TwoPhaseOptimizer, oracle.TwoPhaseOptimizer, dict(), seed=seed, steps=14
         )
-        assert results["arena"] == results["object"]
+
+    @pytest.mark.parametrize(
+        "case", [dict(), dict(num_tables=1), dict(library="minimal")], ids=repr
+    )
+    def test_weighted_sum(self, case):
+        _assert_matches_oracle(
+            WeightedSumOptimizer,
+            oracle.WeightedSumOptimizer,
+            case,
+            seed=4,
+            steps=3,
+            max_climb_steps=20,
+        )
 
     def test_rmq_cache_state_matches(self):
-        outcomes = {}
-        for engine in PLAN_ENGINES:
+        outcomes = []
+        for optimizer_class in (RMQOptimizer, oracle.RMQOptimizer):
             model = _build_model(dict(), 5)
-            optimizer = RMQOptimizer(model, rng=random.Random(6), engine=engine)
+            optimizer = optimizer_class(model, rng=random.Random(6))
             optimizer.run(max_steps=8)
             cache = optimizer.plan_cache
-            outcomes[engine] = (
+            outcomes.append((
                 sorted(tuple(sorted(rel)) for rel in cache.table_sets()),
                 cache.total_plans,
                 sorted(cache.frontier_costs(model.query.relations)),
-            )
-        assert outcomes["arena"] == outcomes["object"]
-
-
-class TestStepScenarioEquivalence:
-    """Whole step-driven benchmark scenarios are engine-independent."""
-
-    def test_step_spec_bit_identical_across_engines(self, monkeypatch):
-        from repro.bench.runner import run_scenario
-        from repro.bench.scenario import ScenarioScale, ScenarioSpec
-        from repro.bench.tasks import clear_reference_memo
-
-        spec = ScenarioSpec(
-            name="arena-engine-smoke",
-            description="engine bit-identity smoke spec",
-            graph_shapes=(GraphShape.CHAIN, GraphShape.STAR),
-            table_counts=(4,),
-            num_metrics=2,
-            algorithms=("RMQ", "NSGA-II", "SA", "2P", "II", "RandomSampling"),
-            num_test_cases=2,
-            step_checkpoints=(2, 4),
-            reference_algorithm="DP(1.01)",
-            seed=17,
-            scale=ScenarioScale.SMOKE,
-        )
-        cells = {}
-        for engine in PLAN_ENGINES:
-            monkeypatch.setenv("REPRO_PLAN_ENGINE", engine)
-            clear_reference_memo()
-            cells[engine] = run_scenario(spec, workers=1).cells
-        assert cells["arena"] == cells["object"]
+            ))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMaterialization:
     """to_plan reconstructs bit-identical, valid Plan objects."""
 
     def test_materialized_frontier_validates(self, chain_model, chain_query_4):
-        optimizer = RMQOptimizer(chain_model, rng=random.Random(3), engine="arena")
+        optimizer = RMQOptimizer(chain_model, rng=random.Random(3))
         optimizer.run(max_steps=5)
         for plan in optimizer.frontier():
             validate_plan(
@@ -532,28 +511,13 @@ class TestMaterialization:
         assert len(batch_model.arena) == 1
 
     def test_intern_plan_round_trips(self, chain_model, rng):
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         plan = RandomPlanGenerator(chain_model, rng).random_bushy_plan()
         batch_model = BatchCostModel(chain_model)
         handle = batch_model.intern_plan(plan)
         assert batch_model.arena.cost(handle) == plan.cost
         assert batch_model.arena.to_plan(handle).structurally_equal(plan)
-
-
-class TestEngineResolution:
-    def test_default_is_arena(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLAN_ENGINE", raising=False)
-        assert resolve_plan_engine(None) == "arena"
-
-    def test_environment_pin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_ENGINE", "object")
-        assert resolve_plan_engine(None) == "object"
-        assert resolve_plan_engine("arena") == "arena"  # explicit wins
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown plan engine"):
-            resolve_plan_engine("quantum")
 
 
 class TestDuplicateCandidates:

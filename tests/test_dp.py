@@ -1,9 +1,12 @@
-"""Tests for the DP(α) baseline (dynamic-programming approximation schemes)."""
+"""Tests of the DP(α) approximation schemes on the object oracle.
+
+The runtime DP is compared with the oracle in ``tests/test_dp_arena.py``.
+"""
 
 
 import pytest
 
-from repro.baselines.dp import DPOptimizer
+from oracle.dp import DPOptimizer
 from repro.cost.model import MultiObjectiveCostModel
 from repro.pareto.dominance import dominates
 from repro.pareto.epsilon import approximation_error, is_alpha_approximation
@@ -66,7 +69,7 @@ class TestCompletion:
 class TestResultQuality:
     def test_exhaustive_dp_dominates_any_single_plan(self, chain_model, rng):
         """No random plan may strictly dominate every plan of a fine DP result."""
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         optimizer = DPOptimizer(chain_model, alpha=1.01)
         optimizer.run(max_steps=100_000)
@@ -105,7 +108,7 @@ class TestResultQuality:
         assert coarse.statistics.plans_built <= fine.statistics.plans_built
 
     def test_dp_reference_beats_single_random_plans(self, chain_model, rng):
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         optimizer = DPOptimizer(chain_model, alpha=1.01)
         optimizer.run(max_steps=100_000)

@@ -1,12 +1,12 @@
-"""Engine-equivalence suite for the DP(α) approximation schemes.
+"""Oracle-equivalence suite for the DP(α) approximation schemes.
 
 The vectorized :class:`~repro.baselines.dp.ArenaDPOptimizer` must be
-*bit-identical* to the object-engine :class:`~repro.baselines.dp.DPOptimizer`
-— same frontiers, same DP-table contents (values, tags, and order), same
+*bit-identical* to the object-plan oracle's ``DPOptimizer``
+(``tests/oracle/dp.py``) — same frontiers, same DP-table contents (values, tags, and order), same
 ``plans_built``/``steps`` statistics at every step boundary — for every α,
 query shape, and operator library, including 1-table queries and NaN/inf
 cardinalities.  The coordinator backend must additionally be bit-identical
-to the sequential arena engine for any worker count, under injected worker
+to the sequential backend for any worker count, under injected worker
 death, and across warm/cold task-cache runs.
 """
 
@@ -17,11 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.dp import (
-    ArenaDPOptimizer,
-    DPOptimizer,
-    make_dp_optimizer,
-)
+from oracle.dp import DPOptimizer
+from repro.baselines.dp import ArenaDPOptimizer
 from repro.cost.model import MultiObjectiveCostModel
 from repro.dist.cache import TaskCache
 from repro.plans.operators import OperatorLibrary
@@ -91,7 +88,7 @@ def _assert_locked(reference, candidate):
 
 
 class TestEngineEquivalence:
-    """object engine == arena engine, bit for bit."""
+    """object oracle == runtime DP, bit for bit."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**20),
@@ -119,7 +116,7 @@ class TestEngineEquivalence:
         reference.step()
         candidate.step()
         # One step seeds the scans, discovers there are no join tasks, and
-        # finishes with a non-empty frontier — in both engines.
+        # finishes with a non-empty frontier — in runtime and oracle alike.
         assert reference.finished and candidate.finished
         assert _statistics(candidate) == _statistics(reference)
         assert candidate.frontier() and reference.frontier()
@@ -132,7 +129,7 @@ class TestEngineEquivalence:
     def test_nan_inf_cardinalities(self, alpha, bad_card):
         # The scalar sort-merge kernel rejects infinite page counts, so the
         # non-finite equivalence cases run on the minimal library (hash join
-        # + full scan), where both engines must agree bit for bit.
+        # + full scan), where runtime and oracle must agree bit for bit.
         model = _explicit_model(
             [bad_card, 100.0, 10.0],
             [(0, 1, 0.5), (1, 2, 0.25)],
@@ -152,7 +149,7 @@ class TestEngineEquivalence:
 
     def test_scan_seeding_charged_to_construction(self, chain_model):
         # Satellite of the eager-seeding fix: scans are built (and counted)
-        # in __init__, identically in both engines, before any step() runs.
+        # in __init__, identically in runtime and oracle, before any step() runs.
         for optimizer in (DPOptimizer(chain_model), ArenaDPOptimizer(chain_model)):
             assert optimizer.statistics.plans_built > 0
             assert optimizer.statistics.steps == 0
@@ -185,21 +182,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArenaDPOptimizer(chain_model, backend="coordinator", workers=0)
 
-    def test_object_engine_rejects_coordinator_backend(self, chain_model):
-        with pytest.raises(ValueError):
-            make_dp_optimizer(chain_model, engine="object", backend="coordinator")
-
-    def test_factory_resolves_engines(self, chain_model, monkeypatch):
-        assert isinstance(make_dp_optimizer(chain_model), ArenaDPOptimizer)
-        assert isinstance(
-            make_dp_optimizer(chain_model, engine="object"), DPOptimizer
-        )
-        monkeypatch.setenv("REPRO_PLAN_ENGINE", "object")
-        assert isinstance(make_dp_optimizer(chain_model), DPOptimizer)
-
 
 class TestCoordinatorBackend:
-    """coordinator backend == sequential arena engine, for any worker count."""
+    """coordinator backend == sequential backend, for any worker count."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("alpha", [1.0, 1.01, float("inf")])

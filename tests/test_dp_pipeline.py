@@ -3,8 +3,8 @@
 * **One cross-product kernel** — a single ``join_candidates_multi`` call
   over many splits equals the per-split ``join_candidates`` calls, bit for
   bit, empty frontiers included.
-* **Frontier counters** — the ``frontier.*`` counter deltas of a DP run do
-  not depend on the plan engine or the backend: the replay counts exactly
+* **Frontier counters** — the ``frontier.*`` counter deltas of a DP run
+  equal the object oracle's on every backend: the replay counts exactly
   what one-by-one insertion counts.
 * **Per-subset reduction** — the sequential backend reduces a subset when
   a step first enters it, never a whole level per step.
@@ -26,12 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.baselines.dp as dp_module
-from repro.baselines.dp import (
-    ArenaDPOptimizer,
-    DPOptimizer,
-    left_bits_of,
-    make_dp_optimizer,
-)
+from oracle.dp import DPOptimizer
+from repro.baselines.dp import ArenaDPOptimizer, left_bits_of
 from repro.cost.batch import BatchCostModel
 from repro.cost.model import MultiObjectiveCostModel
 from repro.dist.cache import TaskCache
@@ -183,7 +179,7 @@ def _counter_deltas(build):
 def _counter_model(case):
     if case == "nan":
         # NaN costs are never dominated, so frontiers keep every candidate:
-        # a small query on one metric keeps the object engine quick.
+        # a small query on one metric keeps the object oracle quick.
         return _model(
             [float("nan"), 100.0, 10.0, 1000.0],
             [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.1)],
@@ -260,7 +256,7 @@ class TestSplitEnumeration:
         "subset", [(0, 1), (0, 2, 5, 9), (3, 4, 7, 8, 10), (1, 40, 61), (2, 61, 62, 70)]
     )
     def test_left_bits_follow_the_object_engine_order(self, subset):
-        # The object engine enumerates ``for size: combinations(subset, size)``;
+        # The scalar order is ``for size: combinations(subset, size)``;
         # subsets reaching past table 61 take the Python-int path.
         expected = [
             _bits(left)
@@ -276,9 +272,6 @@ class TestSplitEnumeration:
 def _assert_rejected(model, name, **kwargs):
     with pytest.raises(ValueError, match=name):
         ArenaDPOptimizer(model, **kwargs)
-    for engine in ("arena", "object"):
-        with pytest.raises(ValueError, match=name):
-            make_dp_optimizer(model, engine=engine, **kwargs)
 
 
 class TestSequentialArguments:

@@ -1,10 +1,12 @@
-"""Unit tests for repro.core.frontier (Algorithm 3 and the alpha schedule)."""
+"""Unit tests of the α schedule and of ApproximateFrontiers (Algorithm 3) on
+the object oracle."""
 
 import pytest
 
-from repro.core.frontier import AlphaSchedule, FrontierApproximator
-from repro.core.plan_cache import PlanCache
-from repro.core.random_plans import RandomPlanGenerator
+from oracle.frontier import FrontierApproximator
+from repro.core.frontier import AlphaSchedule
+from oracle.plan_cache import PlanCache
+from oracle.random_plans import RandomPlanGenerator
 from repro.plans.plan import JoinPlan
 from repro.plans.validation import validate_plan
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.baselines import make_optimizer
-from repro.baselines.dp import DPOptimizer
+from repro.baselines.dp import ArenaDPOptimizer
 from repro.bench.reference import union_reference_frontier
 from repro.cost.model import MultiObjectiveCostModel
 from repro.core.rmq import RMQOptimizer
@@ -54,7 +54,7 @@ class TestRMQConvergenceOnSmallQuery:
         query = QueryGenerator(rng=rng).generate(4, GraphShape.CHAIN)
         model = MultiObjectiveCostModel(query, metrics=("time", "buffer"))
 
-        dp = DPOptimizer(model, alpha=1.01)
+        dp = ArenaDPOptimizer(model, alpha=1.01)
         dp.run(max_steps=1_000_000)
         reference = [plan.cost for plan in dp.frontier()]
         assert reference

@@ -1,18 +1,18 @@
-"""Unit tests for repro.baselines.local_search (neighbor generation)."""
+"""Unit tests of single-node neighbor generation (the object oracle)."""
 
 import random
 
 import pytest
 
-from repro.baselines.local_search import (
+from oracle.local_search import (
     all_neighbors,
     enumerate_node_paths,
     node_at,
     random_neighbor,
     replace_at,
 )
-from repro.core.random_plans import RandomPlanGenerator
-from repro.plans.transformations import TransformationRules
+from oracle.random_plans import RandomPlanGenerator
+from oracle.transformations import TransformationRules
 from repro.plans.validation import validate_plan
 
 
@@ -131,3 +131,44 @@ class TestAllNeighbors:
         assert len(all_neighbors(large, rules, cycle_model)) > len(
             all_neighbors(small, rules, chain_model)
         )
+
+
+class TestArenaNeighborsMatchOracle:
+    """The library's arena neighbor functions against the object oracle."""
+
+    @pytest.mark.parametrize("flags", [{}, {"enable_operator_change": False}])
+    def test_all_neighbors_same_order_costs_and_shapes(self, cycle_model, flags):
+        from repro.baselines.local_search import arena_all_neighbors
+        from repro.cost.batch import BatchCostModel
+        from repro.plans.transformations import ArenaTransformationRules
+
+        plan = RandomPlanGenerator(cycle_model, random.Random(8)).random_bushy_plan()
+        expected = all_neighbors(plan, TransformationRules(**flags), cycle_model)
+        batch_model = BatchCostModel(cycle_model)
+        rules = ArenaTransformationRules(
+            batch_model, TransformationRules(**flags)
+        )
+        refs = arena_all_neighbors(batch_model, batch_model.intern_plan(plan), rules)
+        arena = batch_model.arena
+        neighbors = [arena.to_plan(batch_model.realize(ref)) for ref in refs]
+        assert [n.cost for n in neighbors] == [n.cost for n in expected]
+        assert all(
+            got.structurally_equal(want) for got, want in zip(neighbors, expected)
+        )
+
+    def test_random_neighbor_same_draws(self, cycle_model):
+        from repro.baselines.local_search import arena_random_neighbor
+        from repro.cost.batch import BatchCostModel
+        from repro.plans.transformations import ArenaTransformationRules
+
+        plan = RandomPlanGenerator(cycle_model, random.Random(9)).random_bushy_plan()
+        batch_model = BatchCostModel(cycle_model)
+        rules = ArenaTransformationRules(batch_model)
+        handle = batch_model.intern_plan(plan)
+        object_rng, arena_rng = random.Random(3), random.Random(3)
+        for _ in range(10):
+            want = random_neighbor(plan, TransformationRules(), cycle_model, object_rng)
+            got = arena_random_neighbor(batch_model, handle, rules, arena_rng)
+            assert batch_model.arena.to_plan(got).structurally_equal(want)
+            assert batch_model.arena.cost(got) == want.cost
+        assert arena_rng.getstate() == object_rng.getstate()

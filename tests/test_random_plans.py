@@ -1,9 +1,9 @@
-"""Unit tests for repro.core.random_plans."""
+"""Unit tests of RandomPlan on the object oracle."""
 
 import random
 
 
-from repro.core.random_plans import RandomPlanGenerator
+from oracle.random_plans import RandomPlanGenerator
 from repro.plans.plan import JoinPlan
 from repro.plans.validation import validate_plan
 

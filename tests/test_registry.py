@@ -9,7 +9,7 @@ from repro.baselines import (
     available_algorithms,
     make_optimizer,
 )
-from repro.baselines.dp import ArenaDPOptimizer, DPOptimizer
+from repro.baselines.dp import ArenaDPOptimizer
 from repro.core.interface import AnytimeOptimizer
 from repro.core.rmq import RMQOptimizer
 
@@ -47,10 +47,6 @@ class TestRegistry:
         assert dp2.alpha == 2.0
         dp_inf = make_optimizer("DP(Infinity)", chain_model)
         assert dp_inf.alpha >= 1e12
-
-    def test_dp_object_engine_selected_by_env(self, chain_model, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_ENGINE", "object")
-        assert isinstance(make_optimizer("DP(2)", chain_model), DPOptimizer)
 
     def test_rmq_variants_available(self, chain_model):
         for name in ("RMQ-NoCache", "RMQ-NoClimb", "RMQ-LeftDeep", "RMQ-AlphaFixed1"):

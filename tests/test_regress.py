@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import repro.cost.model as cost_model_module
 from repro.bench.cli import run as cli_run
 from repro.cost.metrics import CostModelConfig
@@ -32,10 +36,11 @@ from repro.regress import (
 from repro.regress.fingerprint import float_hex
 from repro.regress.zoo import (
     ZOO_ALGORITHMS,
-    ZOO_ENGINES,
     ZOO_SHAPES,
     ZOO_STAT_MODELS,
+    coordinate_inputs,
     coverage_summary,
+    pin_run,
 )
 
 ARCHIVE_PATH = "tests/regression/archive.json"
@@ -121,30 +126,10 @@ class TestFingerprintProperties:
 
 
 class TestFrontierFingerprints:
-    def test_engine_invariance_on_real_frontier(self):
-        # The same coordinate run on both plan engines must fingerprint
-        # identically — the archive treats engines as separate coordinates
-        # precisely so this invariant is continuously re-proven.
-        base = zoo_coordinates()[0]
-        entries = {
-            engine: run_coordinate(
-                Coordinate(
-                    workload=base.workload,
-                    algorithm=base.algorithm,
-                    engine=engine,
-                    seed=base.seed,
-                    alpha=base.alpha,
-                )
-            )
-            for engine in ZOO_ENGINES
-        }
-        prints = {entry.fingerprint for entry in entries.values()}
-        assert len(prints) == 1
-
     def test_frontier_order_invariance(self):
         from repro.bench.scenario import ScenarioSpec
         from repro.bench.tasks import build_test_case
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         spec = ScenarioSpec(
             name="fp", description="fp", graph_shapes=(GraphShape.CHAIN,),
@@ -163,7 +148,6 @@ def _coordinate(index=0):
     return Coordinate(
         workload="chain-uniform",
         algorithm=f"Algo{index}",
-        engine="arena",
         seed=1,
         alpha=None,
     )
@@ -200,6 +184,15 @@ class TestArchive:
         path_obj.write_text(json.dumps({"format": "other", "entries": []}))
         with pytest.raises(ValueError, match="format"):
             load_archive(path)
+
+    def test_v1_archive_rejected_naming_its_format(self, tmp_path):
+        # v1 coordinates carried a plan engine; they are never reinterpreted.
+        path_obj = tmp_path / "archive.json"
+        path_obj.write_text(
+            json.dumps({"format": "repro-regress-archive-v1", "entries": []})
+        )
+        with pytest.raises(ValueError, match="repro-regress-archive-v1"):
+            load_archive(str(path_obj))
 
     def test_invalid_json_rejected(self, tmp_path):
         path_obj = tmp_path / "archive.json"
@@ -259,13 +252,9 @@ class TestZooGrid:
         assert len(ZOO_SHAPES) >= 5
         assert len(ZOO_STAT_MODELS) >= 3
         assert len(ZOO_ALGORITHMS) >= 8
-        assert len(ZOO_ENGINES) == 2
         coords = zoo_coordinates()
         assert len(coords) == (
-            len(ZOO_SHAPES)
-            * len(ZOO_STAT_MODELS)
-            * len(ZOO_ALGORITHMS)
-            * len(ZOO_ENGINES)
+            len(ZOO_SHAPES) * len(ZOO_STAT_MODELS) * len(ZOO_ALGORITHMS)
         )
         assert len({c.signature() for c in coords}) == len(coords)
 
@@ -291,7 +280,6 @@ class TestPinnedArchive:
         assert coverage["shapes"] >= 5
         assert coverage["stat_models"] >= 3
         assert coverage["algorithms"] >= 8
-        assert coverage["engines"] == 2
         pinned = {entry.coordinate for entry in archive.entries()}
         assert all(coordinate in pinned for coordinate in zoo_coordinates())
 
@@ -305,6 +293,24 @@ class TestPinnedArchive:
             pinned = archive.get(coordinate)
             assert pinned is not None, coordinate.label
             assert entry.fingerprint == pinned.fingerprint, coordinate.label
+
+    def test_object_oracle_reproduces_every_pinned_fingerprint(self):
+        # The pins hold for the object-plan oracle too: the same inputs run
+        # through the paper's pseudocode over Plan trees, at every zoo
+        # coordinate, fingerprint exactly as the library's arena runs do.
+        archive = load_archive(ARCHIVE_PATH)
+        drifted = []
+        for coordinate in zoo_coordinates():
+            spec, cost_model, rng = coordinate_inputs(coordinate)
+            optimizer = oracle.build_optimizer(coordinate.algorithm, cost_model, rng, spec)
+            entry = pin_run(coordinate, optimizer)
+            pinned = archive.get(coordinate)
+            if (entry.fingerprint, entry.frontier_size) != (
+                pinned.fingerprint,
+                pinned.frontier_size,
+            ):
+                drifted.append(coordinate.label)
+        assert drifted == []
 
     def test_perturbed_cost_constant_fails_check_naming_coordinate(self):
         # The satellite requirement: an (intentionally wrong) change to a
@@ -380,3 +386,20 @@ class TestRegressCli:
         save_archive(archive, path)
         with pytest.raises(SystemExit, match="not pinned"):
             cli_run(["regress", "lint", "--archive", path])
+
+
+def test_import_regress_does_not_load_dist():
+    source = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, repro.regress\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.dist'))\n"
+        "assert not loaded, loaded\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=str(source),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

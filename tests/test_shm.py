@@ -39,7 +39,6 @@ from repro.baselines.dp import (
 from repro.core.plan_cache import (
     _PREFILTER_MIN_BATCH,
     ArenaPlanCache,
-    FrontierSimulator,
     _ArenaEntry,
     _entry_append,
     _entry_covered,
@@ -513,42 +512,6 @@ class TestPackBatches:
         assert accepted_dtype(3) is dtype  # memoized
         names = dtype.names
         assert names == ("split", "outer", "inner", "op", "card", "cost")
-
-
-class TestFrontierSimulator:
-    def test_from_columns_validates_shapes(self):
-        with pytest.raises(ValueError):
-            FrontierSimulator.from_columns(2, [1], [0], np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            FrontierSimulator.from_columns(2, [1, 2], [0], np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            FrontierSimulator.from_columns(2, [1], [0], np.zeros(2))
-
-    def test_columns_roundtrip(self):
-        rows = np.asarray([[1.0, 2.0], [3.0, 0.5]])
-        simulator = FrontierSimulator.from_columns(2, [7, 9], [0, 1], rows)
-        handles, tags, live_rows = simulator.columns()
-        assert handles == [7, 9]
-        assert tags == [0, 1]
-        assert live_rows is rows  # adopted, not copied
-        np.testing.assert_array_equal(live_rows, rows)
-        assert simulator.size == 2
-        assert simulator.num_metrics == 2
-
-    def test_borrowed_readonly_rows_never_mutated(self):
-        # The fabric hands workers read-only shared-memory views; insertion
-        # must replace the matrix, never write into the borrow.
-        rows = np.asarray([[5.0, 5.0]])
-        rows.flags.writeable = False
-        simulator = FrontierSimulator.from_columns(2, [1], [0], rows)
-        batch = _batch_from(
-            np.asarray([[1.0, 1.0]]), np.zeros(1, dtype=np.int64)
-        )
-        accepted = simulator.insert_batch(batch, 1.01)
-        assert accepted == [0]
-        np.testing.assert_array_equal(rows, [[5.0, 5.0]])  # borrow untouched
-        _, _, live_rows = simulator.columns()
-        np.testing.assert_array_equal(live_rows, [[1.0, 1.0]])  # evicted
 
 
 # ---------------------------------------------------------------------------

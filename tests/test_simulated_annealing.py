@@ -24,7 +24,7 @@ class TestConstruction:
             SimulatedAnnealingOptimizer(chain_model, cooling_rate=0.0)
 
     def test_start_plan_seeds_archive(self, chain_model, rng):
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         start = RandomPlanGenerator(chain_model, rng).random_bushy_plan()
         optimizer = SimulatedAnnealingOptimizer(
@@ -32,6 +32,27 @@ class TestConstruction:
         )
         assert optimizer.current_plan is start
         assert optimizer.frontier()
+
+    def test_handle_start_plan_needs_its_arena(self, chain_model):
+        # An int start plan is a handle of batch_model's arena; without a
+        # batch model the annealer's fresh arena holds no node at all.
+        with pytest.raises(ValueError, match="start_plan"):
+            SimulatedAnnealingOptimizer(chain_model, start_plan=3)
+
+    def test_handle_start_plan_outside_the_arena_rejected(self, chain_model):
+        from repro.cost.batch import BatchCostModel
+
+        batch_model = BatchCostModel(chain_model)
+        scan = batch_model.make_scan(0, 0)
+        for handle in (len(batch_model.arena), -1):
+            with pytest.raises(ValueError, match="start_plan"):
+                SimulatedAnnealingOptimizer(
+                    chain_model, start_plan=handle, batch_model=batch_model
+                )
+        optimizer = SimulatedAnnealingOptimizer(
+            chain_model, start_plan=scan, batch_model=batch_model
+        )
+        assert optimizer.frontier_refs() == [scan]
 
 
 class TestAnnealing:

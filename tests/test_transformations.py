@@ -1,9 +1,9 @@
-"""Unit tests for repro.plans.transformations."""
+"""Unit tests of the bushy-plan mutations (the object oracle's rules)."""
 
 import pytest
 
 from repro.plans.plan import JoinPlan
-from repro.plans.transformations import TransformationRules
+from oracle.transformations import TransformationRules
 from repro.plans.validation import validate_plan
 
 

@@ -1,7 +1,11 @@
-"""Tests for repro.utils (rng derivation, stopwatch)."""
+"""Tests for repro.utils (rng derivation, stopwatch, atomic writes)."""
 
+import os
 import time
 
+import pytest
+
+from repro.utils.atomic import write_atomic
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.timer import Stopwatch
 
@@ -46,3 +50,21 @@ class TestStopwatch:
         assert not watch.exceeded(10.0)
         time.sleep(0.01)
         assert watch.exceeded(0.005)
+
+
+class TestWriteAtomic:
+    def test_replaces_the_whole_file(self, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_bytes(b"old contents, longer than the new ones")
+        write_atomic(str(path), b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["entry.json"]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "child").write_text("x")  # a non-empty directory cannot be replaced
+        with pytest.raises(OSError):
+            write_atomic(str(target), b"data")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+

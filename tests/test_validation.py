@@ -111,15 +111,15 @@ class TestInvalidPlans:
 
 class TestSearchOutputsAreValid:
     def test_random_plans_validate(self, chain_model, chain_query_4, rng):
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.random_plans import RandomPlanGenerator
 
         generator = RandomPlanGenerator(chain_model, rng)
         for plan in generator.random_plans(25):
             validate_plan(plan, chain_query_4, chain_model.library, chain_model.num_metrics)
 
     def test_climbed_plans_validate(self, star_model, star_query_5, rng):
-        from repro.core.pareto_climb import ParetoClimber
-        from repro.core.random_plans import RandomPlanGenerator
+        from oracle.pareto_climb import ParetoClimber
+        from oracle.random_plans import RandomPlanGenerator
 
         generator = RandomPlanGenerator(star_model, rng)
         climber = ParetoClimber(star_model)
