@@ -1,12 +1,12 @@
 """Frontier approximation (Algorithm 3, ``ApproximateFrontiers``).
 
-Given a locally Pareto-optimal plan, the approximator walks the plan tree in
-post-order and, for every intermediate result the plan uses, combines all
-cached partial plans for the children with every applicable operator,
-inserting the results into the plan cache under the current approximation
-factor α.  Cached plans may come from earlier iterations and may use
-different join orders — the cache is the mechanism that shares partial plans
-across iterations.
+Given a locally Pareto-optimal plan, the approximator walks the plan tree
+bottom up, one height at a time, and, for every intermediate result the plan
+uses, combines all cached partial plans for the children with every
+applicable operator, inserting the results into the plan cache under the
+current approximation factor α.  Cached plans may come from earlier
+iterations and may use different join orders — the cache is the mechanism
+that shares partial plans across iterations.
 
 The approximation factor follows the paper's schedule
 ``α(i) = 25 · 0.99^⌊i/25⌋`` (never below one): coarse early on to explore
@@ -88,13 +88,16 @@ class AlphaSchedule:
 class ArenaFrontierApproximator:
     """Approximates Pareto frontiers for the intermediate results of a plan.
 
-    A post-order walk of the locally optimal plan: scans are inserted per
-    operator, join frontiers are combined bottom-up.  Each combination
-    costs the whole ``|outer frontier| × |inner frontier| × |join
-    operators|`` cross product with one
-    :meth:`~repro.cost.batch.BatchCostModel.join_candidates` call and
-    inserts it through the cache's batched insertion kernel, in the order
-    of the scalar triple loop.
+    Walks the locally optimal plan bottom up, one plan-tree height at a
+    time: the scans first, per operator, then every height's join nodes.
+    One :meth:`~repro.cost.batch.BatchCostModel.join_candidates` call costs
+    the ``|outer frontier| × |inner frontier| × |join operators|`` cross
+    products of all nodes of a height; each node's rows then go through the
+    cache's batched insertion kernel, in the order of the scalar triple
+    loop, node by node in post-order.  Nodes of one height are never
+    ancestor and descendant, so they join disjoint table sets and read only
+    frontiers finished at lower heights: batching a height changes no
+    accept or evict decision of the post-order walk.
 
     Parameters
     ----------
@@ -130,30 +133,32 @@ class ArenaFrontierApproximator:
     ) -> ArenaPlanCache:
         """Run ``ApproximateFrontiers`` for one locally optimal plan handle."""
         alpha = self._schedule.alpha(iteration)
-        self._approximate_node(handle, cache, alpha)
-        return cache
-
-    def _approximate_node(
-        self, handle: int, cache: ArenaPlanCache, alpha: float
-    ) -> None:
+        model = self._model
         arena = self._arena
-        if arena.is_join(handle):
-            outer, inner = arena.outer(handle), arena.inner(handle)
-            self._approximate_node(outer, cache, alpha)
-            self._approximate_node(inner, cache, alpha)
-            outer_handles = cache.handles(arena.rel(outer))
-            inner_handles = cache.handles(arena.rel(inner))
-            batch = self._model.join_candidates(outer_handles, inner_handles)
-            self._plans_built += batch.size
-            cache.insert_candidates(
-                arena.rel(handle), batch, outer_handles, inner_handles, alpha
-            )
-        else:
-            table_index = arena.table_index(handle)
-            for op_code in self._model.scan_codes(table_index):
-                candidate = self._model.make_scan(table_index, op_code)
+        scans, *heights = arena.nodes_by_height(handle)
+        for scan in scans:
+            table_index = arena.table_index(scan)
+            for op_code in model.scan_codes(table_index):
                 self._plans_built += 1
-                cache.insert(candidate, alpha)
+                cache.insert(model.make_scan(table_index, op_code), alpha)
+        for nodes in heights:
+            pairs = [
+                (
+                    cache.handles(arena.rel(arena.outer(node))),
+                    cache.handles(arena.rel(arena.inner(node))),
+                )
+                for node in nodes
+            ]
+            batch = model.join_candidates(pairs)
+            self._plans_built += batch.size
+            for index, (node, (outer_handles, inner_handles)) in enumerate(
+                zip(nodes, pairs)
+            ):
+                cache.insert_candidates(
+                    arena.rel(node), batch.pair(index), outer_handles,
+                    inner_handles, alpha,
+                )
+        return cache
 
 
 #: Type of α-schedule callables accepted where a full schedule object is not

@@ -135,7 +135,7 @@ class ArenaParetoClimber:
         arena = self._arena
         memo = self._step_memo
         rules = self._rules
-        for level in self._uncached_by_height(root):
+        for level in arena.nodes_by_height(root, skip=memo):
             pending: "List[JoinSpec]" = []
             neighborhoods = []
             for node in level:
@@ -167,30 +167,6 @@ class ArenaParetoClimber:
                     self._prune_per_format(candidates),
                     below + len(candidates),
                 )
-
-    def _uncached_by_height(self, root: int) -> List[List[int]]:
-        """The tree's unmemoized nodes grouped by height, bottom up.
-
-        A node's height counts only unmemoized descendants: 0 when it has
-        none, else one more than its taller unmemoized child.
-        """
-        arena = self._arena
-        memo = self._step_memo
-        levels: List[List[int]] = []
-
-        def visit(node: int) -> int:
-            if node in memo:
-                return -1
-            height = 0
-            if arena.is_join(node):
-                height = 1 + max(visit(arena.outer(node)), visit(arena.inner(node)))
-            if height == len(levels):
-                levels.append([])
-            levels[height].append(node)
-            return height
-
-        visit(root)
-        return levels
 
     # ----------------------------------------------------------- ParetoClimb
     def climb(self, handle: int) -> ClimbResult:

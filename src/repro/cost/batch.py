@@ -6,12 +6,14 @@
 instead of ``Plan`` objects, and adds the two batch entry points the search
 algorithms' inner loops are built on:
 
-* :meth:`join_candidates` costs the **cross product of two partial-plan
-  frontiers × all applicable join operators** with single array expressions
-  per operator — the combination step of ``ApproximateFrontiers``
-  (Algorithm 3) that dominates RMQ's iteration time;
-  :meth:`join_candidates_multi` costs many such cross products (the splits
-  of one DP subset) in the same kernel passes;
+* :meth:`join_candidates` costs the **cross products of many pairs of
+  partial-plan frontiers × all applicable join operators** — the
+  combination step of ``ApproximateFrontiers`` (Algorithm 3), one call per
+  plan-tree height — laying every pair out in one pass and running the
+  per-node kernels once per operator; it returns one
+  :class:`CandidateBatch` whose per-pair views feed the plan cache.
+  :meth:`join_candidates_multi` is the list-returning form over the same
+  body that the DP's subset reducer calls for the splits of one subset;
 * :meth:`cost_specs` costs a list of :class:`JoinSpec` candidate descriptions
   (the hill-climbing neighborhoods of one plan-tree height) — pending
   intermediates first, then the specs built on them — gathering every
@@ -32,12 +34,12 @@ and the vectorized kernels perform the same IEEE-754 operations (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cost.model import MultiObjectiveCostModel
-from repro.plans.arena import PlanArena, bits_members
+from repro.plans.arena import PlanArena
 from repro.plans.operators import DataFormat, JoinOperator, ScanOperator
 
 __all__ = ["BatchCostModel", "CandidateBatch", "JoinSpec"]
@@ -90,11 +92,14 @@ PlanRef = Union[int, JoinSpec]
 
 @dataclass(frozen=True)
 class CandidateBatch:
-    """The costed cross product of two frontiers × applicable join operators.
+    """Costed frontier cross products × applicable join operators.
 
-    Rows are ordered exactly like the scalar triple loop
-    ``for outer: for inner: for operator in applicable(inner)`` so that
-    order-sensitive frontier insertion is reproduced verbatim.
+    Rows are grouped per frontier pair — pair ``k`` owns rows
+    ``bounds[k]:bounds[k + 1]`` — and within a pair ordered exactly like the
+    scalar triple loop ``for outer: for inner: for operator in
+    applicable(inner)``, so order-sensitive frontier insertion is reproduced
+    verbatim.  :meth:`pair` gives one pair's rows as a one-pair batch of
+    array views; a batch built without ``bounds`` holds a single pair.
     """
 
     #: Total cost rows, ``(size, num_metrics)``.
@@ -105,35 +110,40 @@ class CandidateBatch:
     op_codes: np.ndarray
     #: Output-format codes (the frontier tags), ``(size,)``.
     tags: np.ndarray
-    #: Index into the outer handle list, ``(size,)``.
+    #: Index into the pair's outer handle list, ``(size,)``.
     outer_pos: np.ndarray
-    #: Index into the inner handle list, ``(size,)``.
+    #: Index into the pair's inner handle list, ``(size,)``.
     inner_pos: np.ndarray
+    #: Row offsets of the pairs, ``(num_pairs + 1,)``.
+    bounds: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.bounds:
+            object.__setattr__(self, "bounds", (0, self.costs.shape[0]))
 
     @property
     def size(self) -> int:
         """Number of candidates in the batch."""
         return self.costs.shape[0]
 
+    @property
+    def num_pairs(self) -> int:
+        """Number of frontier pairs the batch holds."""
+        return len(self.bounds) - 1
 
-@dataclass(frozen=True)
-class _CrossDescription:
-    """One laid-out frontier cross product awaiting node costing.
-
-    Everything :meth:`BatchCostModel._describe_cross` derives before the
-    per-node cost kernels run; several of these are concatenated so the
-    kernels run once per operator over a whole call.
-    """
-
-    op_codes: np.ndarray
-    outer_pos: np.ndarray
-    inner_pos: np.ndarray
-    cardinalities: np.ndarray
-    #: Outer/inner input cardinalities gathered per candidate.
-    outer_cards_pc: np.ndarray
-    inner_cards_pc: np.ndarray
-    #: ``outer_cost + inner_cost`` rows per candidate (node costs are added).
-    base_costs: np.ndarray
+    def pair(self, index: int) -> "CandidateBatch":
+        """The candidates of pair ``index`` as a one-pair batch of views."""
+        start = self.bounds[index]
+        stop = self.bounds[index + 1]
+        return CandidateBatch(
+            costs=self.costs[start:stop],
+            cardinalities=self.cardinalities[start:stop],
+            op_codes=self.op_codes[start:stop],
+            tags=self.tags[start:stop],
+            outer_pos=self.outer_pos[start:stop],
+            inner_pos=self.inner_pos[start:stop],
+            bounds=(0, stop - start),
+        )
 
 
 class BatchCostModel:
@@ -181,18 +191,19 @@ class BatchCostModel:
             )
             for fmt in formats
         )
-        self._applicable_arrays: Tuple[np.ndarray, ...] = tuple(
-            np.asarray(codes, dtype=np.int64) for codes in self._applicable_by_format
-        )
         self._applicable_counts = np.asarray(
             [len(codes) for codes in self._applicable_by_format], dtype=np.int64
         )
-        # Join selectivity per (outer, inner) table-set bitset pair; the
-        # frozensets the join graph needs are built only on a miss.
+        # The same codes as a (format, slot) table, padded with zeros, so a
+        # whole frontier's operator pattern is one gather.
+        self._applicable_table = np.zeros(
+            (len(formats), max(self._applicable_counts.tolist(), default=0)),
+            dtype=np.int64,
+        )
+        for code, applicable in enumerate(self._applicable_by_format):
+            self._applicable_table[code, : len(applicable)] = applicable
+        # Join selectivity per (outer, inner) table-set bitset pair.
         self._selectivity_memo: Dict[Tuple[int, int], float] = {}
-        # Candidate-pattern memo of the cross-product layout, keyed by the
-        # inner frontier's format sequence (see _cross_pattern).
-        self._pattern_memo: Dict[bytes, Tuple[np.ndarray, np.ndarray, int]] = {}
         self._operator_codes: Dict[object, int] = {
             op: code for code, op in enumerate(arena_obj.operators)
         }
@@ -413,15 +424,12 @@ class BatchCostModel:
             spec.rel_bits = table_bits
 
     def _selectivity(self, outer_bits: int, inner_bits: int) -> float:
-        """Join selectivity between two table sets, memoized by their bitsets.
-
-        The bits are decoded into table indices only on a miss.
-        """
+        """Join selectivity between two table sets, memoized by their bitsets."""
         key = (outer_bits, inner_bits)
         selectivity = self._selectivity_memo.get(key)
         if selectivity is None:
-            selectivity = self._query.selectivity_between(
-                bits_members(outer_bits), bits_members(inner_bits)
+            selectivity = self._query.join_graph.selectivity_between_bits(
+                outer_bits, inner_bits
             )
             self._selectivity_memo[key] = selectivity
         return selectivity
@@ -486,183 +494,152 @@ class BatchCostModel:
         return node
 
     # ------------------------------------------------- frontier cross product
-    def _empty_batch(self) -> CandidateBatch:
-        empty = np.empty(0, dtype=np.int64)
-        return CandidateBatch(
-            costs=np.empty((0, self.num_metrics)), cardinalities=np.empty(0),
-            op_codes=empty, tags=empty, outer_pos=empty, inner_pos=empty,
-        )
-
-    def _cross_pattern(
-        self, inner_formats: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Memoized per-outer candidate layout for one inner-format sequence.
-
-        For each inner ``j``, its applicable operator codes in library
-        order: ``(pattern_ops, pattern_inner, per_outer)``.  Frontiers with
-        the same inner-format sequence (ubiquitous across the splits of a
-        DP subset) share one layout, cached by the raw bytes of
-        ``inner_formats``.
-        """
-        key = inner_formats.tobytes()
-        cached = self._pattern_memo.get(key)
-        if cached is None:
-            ops_per_inner = self._applicable_counts[inner_formats]
-            pattern_ops = np.concatenate(
-                [self._applicable_arrays[code] for code in inner_formats.tolist()]
-            )
-            pattern_inner = np.repeat(
-                np.arange(inner_formats.shape[0], dtype=np.int64), ops_per_inner
-            )
-            cached = (pattern_ops, pattern_inner, int(ops_per_inner.sum()))
-            self._pattern_memo[key] = cached
-        return cached
-
-    def _describe_cross(
-        self,
-        outer_idx: np.ndarray,
-        inner_idx: np.ndarray,
-        outer_bits: int,
-        inner_bits: int,
-    ) -> "Optional[_CrossDescription]":
-        """Lay out one frontier cross product: everything but the node costs.
-
-        The caller vouches that every outer handle joins exactly the table
-        set ``outer_bits`` and every inner handle ``inner_bits``.  Returns
-        ``None`` for an empty cross product.  The per-candidate arrays are
-        in the scalar loop order ``for outer: for inner: for op``.
-        """
-        arena = self._arena
-        num_outer = outer_idx.shape[0]
-        num_inner = inner_idx.shape[0]
-        if num_outer == 0 or num_inner == 0:
-            return None
-        outer_cards = arena.cardinalities_of(outer_idx)
-        inner_cards = arena.cardinalities_of(inner_idx)
-        selectivity = self._selectivity(outer_bits, inner_bits)
-        products = outer_cards[:, None] * inner_cards[None, :] * selectivity
-        output_cards = np.where(products > 1.0, products, 1.0)
-
-        inner_formats = arena.format_codes_of(inner_idx)
-        pattern_ops, pattern_inner, per_outer = self._cross_pattern(inner_formats)
-        op_codes = np.tile(pattern_ops, num_outer)
-        inner_pos = np.tile(pattern_inner, num_outer)
-        outer_pos = np.repeat(np.arange(num_outer, dtype=np.int64), per_outer)
-        return _CrossDescription(
-            op_codes=op_codes,
-            outer_pos=outer_pos,
-            inner_pos=inner_pos,
-            cardinalities=output_cards[outer_pos, inner_pos],
-            outer_cards_pc=outer_cards[outer_pos],
-            inner_cards_pc=inner_cards[inner_pos],
-            base_costs=arena.costs_of(outer_idx)[outer_pos]
-            + arena.costs_of(inner_idx)[inner_pos],
-        )
-
     def _join_splits(
         self, splits: Sequence[Tuple[Sequence[int], Sequence[int], int, int]]
-    ) -> List[CandidateBatch]:
-        """Cost every split's cross product with one pass per operator.
+    ) -> CandidateBatch:
+        """Cost every split's cross product in one layout and kernel pass.
 
         The body of :meth:`join_candidates` and :meth:`join_candidates_multi`
-        (kept apart so a profile of one never nests inside the other).
-        Per-operator groups are computed once over the concatenated
-        candidates; every built-in kernel is elementwise per candidate, so
-        each batch is bit-identical whatever else shares its call.
+        (kept apart so a profile of one never nests inside the other).  The
+        candidate rows of all splits are laid out back to back by array
+        gathers — per outer handle, the split's (inner, operator) pattern —
+        and the per-node kernels run once per distinct operator over all of
+        them.  Every built-in kernel is elementwise per candidate, so each
+        split's rows are bit-identical whatever else shares the call.
         """
-        descriptions = [
-            self._describe_cross(
-                np.asarray(outer_handles, dtype=np.int64),
-                np.asarray(inner_handles, dtype=np.int64),
-                outer_bits,
-                inner_bits,
-            )
-            for outer_handles, inner_handles, outer_bits, inner_bits in splits
+        arena = self._arena
+        empty = np.empty(0, dtype=np.int64)
+        outer_lists = [np.asarray(split[0], dtype=np.int64) for split in splits]
+        inner_lists = [np.asarray(split[1], dtype=np.int64) for split in splits]
+        outer_handles = np.concatenate(outer_lists) if splits else empty
+        inner_handles = np.concatenate(inner_lists) if splits else empty
+        outer_counts = np.array([a.shape[0] for a in outer_lists], dtype=np.int64)
+        inner_counts = np.array([a.shape[0] for a in inner_lists], dtype=np.int64)
+        outer_start = np.cumsum(outer_counts) - outer_counts
+        inner_start = np.cumsum(inner_counts) - inner_counts
+
+        # The (inner, operator) pattern of every inner handle, concatenated:
+        # inner j contributes its applicable operator codes in library order.
+        inner_formats = arena.format_codes_of(inner_handles)
+        ops_per_inner = self._applicable_counts[inner_formats]
+        op_offsets = np.zeros(inner_handles.shape[0] + 1, dtype=np.int64)
+        np.cumsum(ops_per_inner, out=op_offsets[1:])
+        pattern_inner = np.repeat(np.arange(inner_handles.shape[0]), ops_per_inner)
+        pattern_ops = self._applicable_table[
+            inner_formats[pattern_inner],
+            np.arange(pattern_inner.shape[0]) - op_offsets[pattern_inner],
         ]
-        live = [d for d in descriptions if d is not None]
-        if not live:
-            return [self._empty_batch() for _ in descriptions]
-        all_ops = np.concatenate([d.op_codes for d in live])
-        groups = {
-            code: np.flatnonzero(all_ops == code)
-            for code in np.unique(all_ops).tolist()
-        }
-        node_costs = self._node_costs_grouped(
-            np.concatenate([d.outer_cards_pc for d in live]),
-            np.concatenate([d.inner_cards_pc for d in live]),
-            np.concatenate([d.cardinalities for d in live]),
-            groups,
+        # A split's pattern is its inners' run; every outer handle repeats it.
+        pattern_start = op_offsets[inner_start]
+        per_outer = op_offsets[inner_start + inner_counts] - pattern_start
+        pair_rows = outer_counts * per_outer
+        outer_pair = np.repeat(np.arange(len(splits)), outer_counts)
+        block = per_outer[outer_pair]
+        row_outer = np.repeat(np.arange(outer_handles.shape[0]), block)
+        block_start = np.cumsum(block) - block
+        row_pair = outer_pair[row_outer]
+        pattern_index = pattern_start[row_pair] + (
+            np.arange(row_outer.shape[0]) - block_start[row_outer]
         )
-        batches: List[CandidateBatch] = []
-        offset = 0
-        for description in descriptions:
-            if description is None:
-                batches.append(self._empty_batch())
-                continue
-            size = description.op_codes.shape[0]
-            totals = description.base_costs + node_costs[offset : offset + size]
-            batches.append(
-                CandidateBatch(
-                    costs=totals,
-                    cardinalities=description.cardinalities,
-                    op_codes=description.op_codes,
-                    tags=self._arena.format_codes_of_ops(description.op_codes),
-                    outer_pos=description.outer_pos,
-                    inner_pos=description.inner_pos,
+        row_inner = pattern_inner[pattern_index]
+        op_codes = pattern_ops[pattern_index]
+
+        outer_of_row = outer_handles[row_outer]
+        inner_of_row = inner_handles[row_inner]
+        outer_cards = arena.cardinalities_of(outer_of_row)
+        inner_cards = arena.cardinalities_of(inner_of_row)
+        selectivities = np.array(
+            [
+                self._selectivity(split[2], split[3]) if rows else 1.0
+                for split, rows in zip(splits, pair_rows.tolist())
+            ],
+            dtype=np.float64,
+        )
+        products = outer_cards * inner_cards * selectivities[row_pair]
+        cardinalities = np.where(products > 1.0, products, 1.0)
+        node_costs = self._node_costs_grouped(
+            outer_cards,
+            inner_cards,
+            cardinalities,
+            {
+                code: np.flatnonzero(op_codes == code)
+                for code in np.unique(op_codes).tolist()
+            },
+        )
+        return CandidateBatch(
+            costs=(arena.costs_of(outer_of_row) + arena.costs_of(inner_of_row))
+            + node_costs,
+            cardinalities=cardinalities,
+            op_codes=op_codes,
+            tags=arena.format_codes_of_ops(op_codes),
+            outer_pos=row_outer - outer_start[row_pair],
+            inner_pos=row_inner - inner_start[row_pair],
+            bounds=(0, *np.cumsum(pair_rows).tolist()),
+        )
+
+    def _side_bits(self, side: str, index: int, handles: Sequence[int]) -> int:
+        """The table set every handle of one side joins (0 for no handles)."""
+        if len(handles) == 0:
+            return 0
+        arena = self._arena
+        rel_bits = arena.rel_bits
+        bits = rel_bits(handles[0])
+        for handle in handles:
+            if rel_bits(handle) != bits:
+                raise ValueError(
+                    f"{side} handles of pair {index} must all join the same "
+                    f"table set; got {sorted(arena.rel(handle))} and "
+                    f"{sorted(arena.rel(handles[0]))}"
                 )
-            )
-            offset += size
-        return batches
+        return bits
 
     def join_candidates(
-        self, outer_handles: Sequence[int], inner_handles: Sequence[int]
+        self, pairs: Sequence[Tuple[Sequence[int], Sequence[int]]]
     ) -> CandidateBatch:
-        """Cost the cross product of two partial-plan frontiers.
+        """Cost the cross products of many pairs of partial-plan frontiers.
 
-        All handles on one side must join the **same table set** (the lists
+        ``pairs`` rows are ``(outer_handles, inner_handles)``.  All handles
+        on one side of a pair must join the **same table set** (the lists
         are partial-plan frontiers of two fixed intermediate results, as in
-        ``ApproximateFrontiers``): the join selectivity is computed once
-        for that pair of table sets.  Mixed-relation inputs are rejected.
+        ``ApproximateFrontiers``): the join selectivity is computed once per
+        pair.  A side that mixes table sets is rejected, naming the side.
 
-        All ``|outer| × |inner| × |applicable operators|`` candidate joins
-        are costed in array expressions (one kernel pass per distinct
-        operator); no arena nodes are created.  The batch row order matches
-        the scalar loop ``for outer: for inner: for op``, so inserting the
-        rows sequentially into a frontier reproduces that loop decision for
-        decision.
+        All ``|outer| × |inner| × |applicable operators|`` candidate joins of
+        every pair are costed in one call (one kernel pass per distinct
+        operator); no arena nodes are created.  ``batch.pair(k)`` holds pair
+        ``k``'s rows in the order of the scalar loop ``for outer: for inner:
+        for op``, so inserting them sequentially into a frontier reproduces
+        that loop decision for decision.  ``ApproximateFrontiers`` passes
+        the join nodes of one plan-tree height per call.
         """
-        if len(outer_handles) == 0 or len(inner_handles) == 0:
-            return self._empty_batch()
-        arena = self._arena
-        sides = []
-        for side, handles in (("outer", outer_handles), ("inner", inner_handles)):
-            bits = arena.rel_bits(handles[0])
-            for handle in handles:
-                if arena.rel_bits(handle) != bits:
-                    raise ValueError(
-                        f"{side} handles must all join the same table set; "
-                        f"got {sorted(arena.rel(handle))} and "
-                        f"{sorted(arena.rel(handles[0]))}"
-                    )
-            sides.append(bits)
-        return self._join_splits([(outer_handles, inner_handles, *sides)])[0]
+        return self._join_splits(
+            [
+                (
+                    outer_handles,
+                    inner_handles,
+                    self._side_bits("outer", index, outer_handles),
+                    self._side_bits("inner", index, inner_handles),
+                )
+                for index, (outer_handles, inner_handles) in enumerate(pairs)
+            ]
+        )
 
     def join_candidates_multi(
         self, splits: Sequence[Tuple[Sequence[int], Sequence[int], int, int]]
     ) -> List[CandidateBatch]:
-        """Cost many frontier cross products in one grouped kernel pass.
+        """Cost many frontier cross products; one batch per split.
 
         ``splits`` rows are ``(outer_handles, inner_handles, outer_bits,
         inner_bits)``: two frontiers and the table-set bitsets they join —
         e.g. every (left, right) split of one DP subset.  The caller vouches
         for the bits (DP splits are enumerated as subset bits, so
         re-reading per-handle relations would only re-check an invariant
-        the enumeration guarantees).  The per-node cost kernels run once
-        per distinct operator over all splits instead of once per split,
-        and each returned batch is bit-identical to the corresponding
-        :meth:`join_candidates` call.
+        the enumeration guarantees).  The same body as
+        :meth:`join_candidates`; the returned batches are its per-pair
+        views, bit-identical to costing each split alone.
         """
-        return self._join_splits(splits)
+        batch = self._join_splits(splits)
+        return [batch.pair(index) for index in range(batch.num_pairs)]
 
     def realize_candidate(
         self,

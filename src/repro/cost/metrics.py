@@ -199,8 +199,11 @@ def _sequential_join_time(
         io += _external_sort_cost(inner_pages, operator.memory_pages)
         io += outer_pages + inner_pages
     elif operator.algorithm is JoinAlgorithm.BLOCK_NESTED_LOOP:
-        # One pass over the outer per block of memory, scanning the inner each time.
-        blocks = math.ceil(outer_pages / operator.memory_pages)
+        # One pass over the outer per block of memory, scanning the inner each
+        # time.  A non-finite block count stays as it is, like ``np.ceil``.
+        blocks = outer_pages / operator.memory_pages
+        if math.isfinite(blocks):
+            blocks = math.ceil(blocks)
         io = outer_pages + blocks * inner_pages
     elif operator.algorithm is JoinAlgorithm.NESTED_LOOP:
         # Tuple-at-a-time nested loop: one inner scan per outer row.

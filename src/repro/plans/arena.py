@@ -39,7 +39,7 @@ The arena is storage only; costing lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Container, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -275,6 +275,33 @@ class PlanArena:
     def num_nodes(self, handle: int) -> int:
         """Tree-node count of the plan (``k`` scans and ``k - 1`` joins)."""
         return 2 * len(self._rel[handle]) - 1
+
+    def nodes_by_height(
+        self, root: int, skip: Container[int] = ()
+    ) -> List[List[int]]:
+        """The plan's nodes grouped by height, bottom up, each in post-order.
+
+        Nodes in ``skip`` are left out with their sub-trees.  A node's
+        height counts only listed descendants: 0 when it has none, else one
+        more than its taller listed child.  Nodes of one height are never
+        ancestor and descendant, which is what lets the climber and the
+        frontier approximation batch a height's work.
+        """
+        levels: List[List[int]] = []
+
+        def visit(node: int) -> int:
+            if node in skip:
+                return -1
+            height = 0
+            if self.is_join(node):
+                height = 1 + max(visit(self.outer(node)), visit(self.inner(node)))
+            if height == len(levels):
+                levels.append([])
+            levels[height].append(node)
+            return height
+
+        visit(root)
+        return levels
 
     # Vectorized column views -------------------------------------------------
     def cardinalities_of(self, handles: np.ndarray) -> np.ndarray:

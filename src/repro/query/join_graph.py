@@ -74,6 +74,14 @@ def snowflake_edges(num_tables: int) -> List[Tuple[int, int]]:
     return edges
 
 
+def _bits_of(tables: Iterable[int]) -> int:
+    """Int bitset of a table-index collection (bit t ⇔ table t)."""
+    bits = 0
+    for table in tables:
+        bits |= 1 << table
+    return bits
+
+
 def _normalize_edge(a: int, b: int) -> Tuple[int, int]:
     """Return the canonical (sorted) representation of an undirected edge."""
     if a == b:
@@ -102,7 +110,13 @@ class JoinGraph:
         if num_tables < 1:
             raise ValueError(f"a query needs at least one table, got {num_tables}")
         self._num_tables = num_tables
-        self._edges: Dict[Tuple[int, int], float] = {}
+        # Each edge's insertion position (an overwrite keeps it), the
+        # selectivities by position, and per table the (position, other
+        # end) of every incident predicate: a selectivity lookup walks the
+        # smaller side's members instead of scanning every edge.
+        self._positions: Dict[Tuple[int, int], int] = {}
+        self._selectivities: List[float] = []
+        self._incident: List[List[Tuple[int, int]]] = [[] for _ in range(num_tables)]
         for (a, b), selectivity in (edges or {}).items():
             self.add_edge(a, b, selectivity)
 
@@ -117,20 +131,30 @@ class JoinGraph:
                 )
         if not 0 < selectivity <= 1:
             raise ValueError(f"selectivity must be in (0, 1], got {selectivity}")
-        self._edges[edge] = selectivity
+        position = self._positions.get(edge)
+        if position is not None:
+            self._selectivities[position] = selectivity
+            return
+        a, b = edge
+        position = len(self._selectivities)
+        self._positions[edge] = position
+        self._selectivities.append(selectivity)
+        self._incident[a].append((position, b))
+        self._incident[b].append((position, a))
 
     def has_edge(self, a: int, b: int) -> bool:
         """Return whether a join predicate connects tables ``a`` and ``b``."""
-        return _normalize_edge(a, b) in self._edges
+        return _normalize_edge(a, b) in self._positions
 
     def edge_selectivity(self, a: int, b: int) -> float:
         """Selectivity of the predicate between ``a`` and ``b`` (1.0 if absent)."""
-        return self._edges.get(_normalize_edge(a, b), 1.0)
+        position = self._positions.get(_normalize_edge(a, b))
+        return 1.0 if position is None else self._selectivities[position]
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate over ``(a, b, selectivity)`` triples."""
-        for (a, b), selectivity in sorted(self._edges.items()):
-            yield a, b, selectivity
+        for (a, b), position in sorted(self._positions.items()):
+            yield a, b, self._selectivities[position]
 
     @property
     def num_tables(self) -> int:
@@ -140,7 +164,7 @@ class JoinGraph:
     @property
     def num_edges(self) -> int:
         """Number of join predicates."""
-        return len(self._edges)
+        return len(self._positions)
 
     # ----------------------------------------------------------- selectivity
     def selectivity_between(
@@ -152,23 +176,43 @@ class JoinGraph:
         the product of the individual predicate selectivities.  Returns 1.0
         (a Cartesian product) when no predicate crosses the two sets.
         """
-        left_set = frozenset(left)
-        right_set = frozenset(right)
-        if left_set & right_set:
+        return self.selectivity_between_bits(_bits_of(left), _bits_of(right))
+
+    def selectivity_between_bits(self, left_bits: int, right_bits: int) -> float:
+        """:meth:`selectivity_between` for table sets given as int bitsets.
+
+        Bit ``t`` stands for table ``t``.  Walks the incident predicates of
+        the smaller side's members and keeps those whose other end lies in
+        the other side; their selectivities are multiplied in edge-insertion
+        order, so the result is the same float as a product over a scan of
+        every edge.
+        """
+        if left_bits & right_bits:
             raise ValueError("table sets must be disjoint to compute a join selectivity")
+        if left_bits.bit_count() > right_bits.bit_count():
+            left_bits, right_bits = right_bits, left_bits
+        # Members beyond the graph's tables have no predicates.
+        walk = left_bits & ((1 << self._num_tables) - 1)
+        incident = self._incident
+        crossing: List[int] = []
+        while walk:
+            lowest = walk & -walk
+            for position, other in incident[lowest.bit_length() - 1]:
+                if right_bits >> other & 1:
+                    crossing.append(position)
+            walk ^= lowest
         selectivity = 1.0
-        for (a, b), edge_selectivity in self._edges.items():
-            crosses = (a in left_set and b in right_set) or (
-                a in right_set and b in left_set
-            )
-            if crosses:
-                selectivity *= edge_selectivity
+        if crossing:
+            crossing.sort()
+            values = self._selectivities
+            for position in crossing:
+                selectivity *= values[position]
         return selectivity
 
     def neighbors(self, table: int) -> FrozenSet[int]:
         """Return the set of tables connected to ``table`` by a predicate."""
         result = set()
-        for a, b in self._edges:
+        for a, b in self._positions:
             if a == table:
                 result.add(b)
             elif b == table:

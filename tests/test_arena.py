@@ -35,7 +35,7 @@ from repro.core.random_plans import ArenaRandomPlanGenerator
 from repro.cost.batch import SMALL_SPEC_BATCH, BatchCostModel, JoinSpec
 from repro.cost.metrics import CostModelConfig, metric_by_name
 from repro.cost.model import MultiObjectiveCostModel
-from repro.plans.operators import OperatorLibrary
+from repro.plans.operators import JoinAlgorithm, OperatorLibrary
 from repro.plans.transformations import ArenaTransformationRules, TransformationRules
 from repro.plans.validation import validate_plan
 from repro.query.generator import QueryGenerator
@@ -65,6 +65,17 @@ def _join_operators():
 
 
 JOIN_OPERATORS = _join_operators()
+BNL_OPERATORS = [
+    operator
+    for operator in JOIN_OPERATORS
+    if operator.algorithm is JoinAlgorithm.BLOCK_NESTED_LOOP
+]
+
+#: Cardinalities around the overflow edge: zero, one, tiny, huge finite
+#: (1e154 squares past the float range), the largest decade, and infinity.
+OVERFLOW_CARDINALITIES = (
+    0.0, 1.0, 5e-324, 1e-300, 1e154, 1e200, 1e308, float("inf"),
+)
 
 
 class TestBatchKernelEquivalence:
@@ -108,6 +119,32 @@ class TestBatchKernelEquivalence:
         for position, value in enumerate(expected):
             got = float(batch[position])
             assert got == value or (math.isnan(got) and math.isnan(value))
+
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from(OVERFLOW_CARDINALITIES)] * 3),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from(BNL_OPERATORS),
+        st.sampled_from(("time", "monetary", "energy")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_nested_loop_saturates_like_the_batch_kernel(
+        self, rows, operator, metric_name
+    ):
+        # Neither kernel raises on an infinite page count; both return the
+        # same bits (the block count of an infinite outer stays infinite).
+        metric = metric_by_name(metric_name)
+        config = CostModelConfig()
+        columns = [np.asarray(column, dtype=np.float64) for column in zip(*rows)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = metric.join_cost_batch(*columns[:2], operator, columns[2], config)
+        for position, (outer, inner, output) in enumerate(rows):
+            scalar = metric.join_cost_cards(outer, inner, operator, output, config)
+            assert np.float64(scalar).tobytes() == batch[position].tobytes(), (
+                outer, inner, output,
+            )
 
     @given(
         st.lists(st.tuples(cardinality, cardinality), min_size=1, max_size=30),
@@ -177,7 +214,7 @@ class TestCrossProductEquivalence:
         if any(outer_rel & inner_rel):
             pytest.skip("random roots overlap")
 
-        batch = batch_model.join_candidates(outer_handles, inner_handles)
+        batch = batch_model.join_candidates([(outer_handles, inner_handles)])
         # Scalar enumeration through the object cost model.
         position = 0
         for outer_handle in outer_handles:
@@ -532,7 +569,7 @@ class TestDuplicateCandidates:
         scan_b = batch_model.make_scan(1, 0)
         # The same frontier handle listed twice on each side: every
         # candidate appears (at least) four times with identical costs.
-        batch = batch_model.join_candidates([scan_a, scan_a], [scan_b, scan_b])
+        batch = batch_model.join_candidates([([scan_a, scan_a], [scan_b, scan_b])])
         rel = chain_model.query.table(0).index, chain_model.query.table(1).index
         accepted = cache.insert_candidates(
             frozenset(rel), batch, [scan_a, scan_a], [scan_b, scan_b], alpha=1.0

@@ -153,15 +153,15 @@ class TestJoinCandidatesMulti:
         batches = batch_model.join_candidates_multi(splits)
         assert len(batches) == len(splits)
         for batch, (outer, inner, _, _) in zip(batches, splits):
-            _assert_batches_equal(batch, batch_model.join_candidates(outer, inner))
+            _assert_batches_equal(batch, batch_model.join_candidates([(outer, inner)]))
 
     def test_join_candidates_rejects_mixed_table_sets(self, chain_model):
         batch_model = BatchCostModel(chain_model)
         scans = [batch_model.make_scan(table, 0) for table in range(3)]
         with pytest.raises(ValueError, match="outer handles"):
-            batch_model.join_candidates([scans[0], scans[1]], [scans[2]])
+            batch_model.join_candidates([([scans[0], scans[1]], [scans[2]])])
         with pytest.raises(ValueError, match="inner handles"):
-            batch_model.join_candidates([scans[2]], [scans[0], scans[1]])
+            batch_model.join_candidates([([scans[2]], [scans[0], scans[1]])])
 
 
 # ---------------------------------------------------------------------------

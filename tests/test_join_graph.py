@@ -1,6 +1,11 @@
 """Unit tests for repro.query.join_graph."""
 
+import random
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.query.join_graph import (
     GraphShape,
@@ -79,6 +84,111 @@ class TestSelectivityBetween:
         graph = JoinGraph(3)
         with pytest.raises(ValueError):
             graph.selectivity_between({0, 1}, {1, 2})
+
+
+def _edge_scan_selectivity(edges, left, right):
+    """The oracle: scan every edge, multiplying the crossing ones in the
+    edge dict's insertion order (an overwrite keeps its first position)."""
+    left_set = frozenset(left)
+    right_set = frozenset(right)
+    if left_set & right_set:
+        raise ValueError("table sets must be disjoint to compute a join selectivity")
+    selectivity = 1.0
+    for (a, b), edge_selectivity in edges.items():
+        if (a in left_set and b in right_set) or (a in right_set and b in left_set):
+            selectivity *= edge_selectivity
+    return selectivity
+
+
+def _shape_edges(shape, num_tables):
+    """Edge endpoints in the order the named builder adds them."""
+    if shape == "snowflake":
+        return snowflake_edges(num_tables)
+    if shape == "star":
+        return [(0, table) for table in range(1, num_tables)]
+    if shape == "clique":
+        return [(a, b) for a in range(num_tables) for b in range(a + 1, num_tables)]
+    edges = [(table, table + 1) for table in range(num_tables - 1)]
+    if shape == "cycle" and num_tables >= 3:
+        edges.append((num_tables - 1, 0))
+    return edges
+
+
+def _bits(tables):
+    return sum(1 << table for table in tables)
+
+
+class TestSelectivityMatchesEdgeScan:
+    """selectivity_between(_bits) == the all-edges scan, bit for bit."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shape=st.sampled_from(["chain", "cycle", "star", "clique", "snowflake"]),
+        num_tables=st.integers(min_value=1, max_value=40),
+        overwrites=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs_and_disjoint_sets(self, seed, shape, num_tables, overwrites):
+        rng = random.Random(seed)
+        graph = JoinGraph(num_tables)
+        recorded = {}
+
+        def add(a, b):
+            # Selectivities over many decades, so products round and the
+            # multiplication order shows in the bits.
+            selectivity = 10.0 ** -rng.uniform(0.0, 9.0)
+            graph.add_edge(a, b, selectivity)
+            recorded[(min(a, b), max(a, b))] = selectivity
+
+        edges = _shape_edges(shape, num_tables)
+        for a, b in edges:
+            add(a, b)
+        for _ in range(overwrites if edges else 0):
+            a, b = rng.choice(edges)
+            if rng.random() < 0.5:
+                a, b = b, a
+            add(a, b)
+
+        tables = list(range(num_tables))
+        cases = [((), ()), ((), tables), (tables, ())]
+        cases += [((table,), ()) for table in tables[:2]]
+        cases += [((a,), (b,)) for a, b in zip(tables, tables[1:])]
+        for _ in range(25):
+            sides = [rng.randrange(3) for _ in tables]
+            left = [table for table, side in zip(tables, sides) if side == 0]
+            right = [table for table, side in zip(tables, sides) if side == 1]
+            cases.append((left, right))
+        for left, right in cases:
+            expected = struct.pack("<d", _edge_scan_selectivity(recorded, left, right))
+            for got in (
+                graph.selectivity_between(left, right),
+                graph.selectivity_between(set(right), set(left)),
+                graph.selectivity_between_bits(_bits(left), _bits(right)),
+            ):
+                assert struct.pack("<d", got) == expected, (left, right)
+
+    def test_overlapping_bitsets_rejected(self):
+        graph = JoinGraph.chain(3, [0.5, 0.25])
+        with pytest.raises(ValueError, match="disjoint"):
+            graph.selectivity_between_bits(0b011, 0b110)
+
+    def test_builder_graphs_match_edge_by_edge_graphs(self):
+        for shape in GraphShape:
+            count = JoinGraph.edge_count_for_shape(shape, 9)
+            values = [0.5 ** (1 + index % 7) / 3.0 for index in range(count)]
+            built = JoinGraph.from_shape(shape, 9, values)
+            recorded = dict(zip(
+                [tuple(sorted(edge)) for edge in _shape_edges(shape.value, 9)], values
+            ))
+            assert dict(((a, b), s) for a, b, s in built.edges()) == recorded
+            rng = random.Random(shape.value)
+            for _ in range(40):
+                sides = [rng.randrange(3) for _ in range(9)]
+                left = [t for t, side in enumerate(sides) if side == 0]
+                right = [t for t, side in enumerate(sides) if side == 1]
+                assert built.selectivity_between(left, right) == (
+                    _edge_scan_selectivity(recorded, left, right)
+                )
 
 
 class TestConnectivity:
