@@ -1,29 +1,20 @@
 """Micro-benchmark M2: scalar vs. vectorized Pareto frontier insertion,
-frontier-store comparison, and task-graph runner throughput.
+and task-graph runner throughput.
 
 Measures the throughput of inserting random cost vectors into a Pareto
 frontier three ways:
 
 * ``scalar``      — the pure-Python reference container
-  (:class:`repro.pareto.reference.ScalarParetoFrontier`), i.e. the seed
-  implementation,
-* ``vectorized``  — per-item inserts through the engine-backed
-  :class:`repro.pareto.frontier.ParetoFrontier` (adaptive scalar/NumPy
-  dispatch),
-* ``batch``       — one vectorized ``insert_all`` call (chunked batch kernel
-  with exact sequential semantics).
+  (``ScalarParetoFrontier`` of the test oracle, ``tests/oracle/pareto.py``),
+  i.e. the seed implementation,
+* ``vectorized``  — per-item inserts through the kernel-backed
+  :class:`repro.pareto.frontier.ParetoFrontier`,
+* ``batch``       — one ``insert_all`` call (the kernel's batch sweep, with
+  exact sequential semantics).
 
 Results are printed and written to ``BENCH_pareto.json`` in the repository
 root.  The acceptance bar for the engine is ``batch`` ≥ 3× ``scalar`` on
 1000 random 3-metric vectors.
-
-The *store* section compares the frontier stores of
-:mod:`repro.pareto.store` — flat scan vs. sorted blocks vs. ND-tree vs. the
-``auto`` policy — on an anti-correlated tradeoff workload whose frontier
-keeps growing (the regime the indexed tiers exist for), over 10³–10⁵
-vectors and 2–5 metrics, writing ``BENCH_frontier.json``.  The headline
-number is the sorted-store speedup over the flat store at 10⁵ vectors and
-3 metrics; the target is ≥ 5×.
 
 The runner section measures benchmark *task* throughput (leaf tasks per
 second of a small step-driven scenario) through the task-graph pipeline —
@@ -53,17 +44,19 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import timeit
 from typing import Dict, List, Tuple
 
-from repro.pareto.engine import ParetoSet
 from repro.pareto.frontier import ParetoFrontier
-from repro.pareto.reference import ScalarParetoFrontier
 
 #: Repository root (this file lives in benchmarks/).
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The scalar reference lives with the test oracle.
+sys.path.insert(0, os.path.join(_REPO_ROOT, "tests"))
+from oracle.pareto import ScalarParetoFrontier  # noqa: E402
+
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_pareto.json")
-FRONTIER_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_frontier.json")
 RUNNER_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_runner.json")
 COORDINATOR_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_coordinator.json")
 DP_RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_dp.json")
@@ -171,158 +164,6 @@ def test_batch_insert_beats_scalar():
     print()
     print(_format_report(report))
     assert report["speedup_vs_scalar"]["batch"] > 1.5
-
-
-# ---------------------------------------------------------------------------
-# Frontier-store comparison (flat vs. sorted vs. ND-tree vs. auto)
-# ---------------------------------------------------------------------------
-#: Store-comparison grid: sizes × metric counts.  The full 10⁵ row is the
-#: headline configuration (3 metrics, the paper's common case); the flat
-#: store is quadratic in the frontier there, so it is measured once.
-STORE_GRID = (
-    (1_000, (2, 3, 5)),
-    (10_000, (2, 3, 5)),
-    (100_000, (3,)),
-)
-STORE_NAMES = ("flat", "sorted", "ndtree", "auto")
-STORE_NOISE = 0.002
-STORE_HEADLINE = (100_000, 3)
-STORE_TARGET_SPEEDUP = 5.0
-
-
-def _tradeoff_vectors(
-    count: int, metrics: int, seed: int = SEED, noise: float = STORE_NOISE
-) -> List[Tuple[float, ...]]:
-    """Anti-correlated tradeoff curve with noise: a frontier that keeps growing.
-
-    Points near the curve ``(t, 1-t, ..., 1-t)`` are mostly mutually
-    incomparable, so the frontier grows with the input — the regime where
-    flat scans degrade quadratically and the indexed stores' pruning windows
-    pay off.  The noise term keeps a realistic share of dominated points so
-    rejection and eviction paths are exercised too.
-    """
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(count):
-        t = rng.random()
-        base = [t] + [1.0 - t] * (metrics - 1)
-        rows.append(tuple(100.0 * b + noise * 100.0 * rng.random() for b in base))
-    return rows
-
-
-def _store_insert(vectors: List[Tuple[float, ...]], store: str) -> ParetoSet:
-    frontier = ParetoSet(store=store)
-    insert = frontier.insert
-    for vector in vectors:
-        insert(vector)
-    return frontier
-
-
-def run_store_benchmark(write_json: bool = True) -> Dict[str, object]:
-    """Compare per-item insert throughput across the frontier stores."""
-    grid: List[Dict[str, object]] = []
-    headline: Dict[str, object] = {}
-    for count, metric_counts in STORE_GRID:
-        for metrics in metric_counts:
-            vectors = _tradeoff_vectors(count, metrics)
-            repeats = 3 if count < 100_000 else 1
-            # One loop both times the builds and checks contents (the build
-            # is deterministic, so any repeat's frontier serves the check);
-            # building separately for the assertion would double the
-            # quadratic flat pass at the headline size.
-            seconds: Dict[str, float] = {}
-            contents: Dict[str, list] = {}
-            for store in STORE_NAMES:
-                best = float("inf")
-                frontier = None
-                for _ in range(repeats):
-                    started = timeit.default_timer()
-                    frontier = _store_insert(vectors, store)
-                    best = min(best, timeit.default_timer() - started)
-                seconds[store] = best
-                contents[store] = frontier.costs()
-            reference = contents["flat"]
-            for store, kept in contents.items():
-                assert kept == reference, (
-                    f"store {store!r} diverged from flat on "
-                    f"{count} vectors x {metrics} metrics"
-                )
-            entry: Dict[str, object] = {
-                "num_vectors": count,
-                "num_metrics": metrics,
-                "frontier_size": len(reference),
-                "seconds": seconds,
-                "inserts_per_second": {
-                    store: count / elapsed for store, elapsed in seconds.items()
-                },
-                "speedup_vs_flat": {
-                    store: seconds["flat"] / elapsed
-                    for store, elapsed in seconds.items()
-                    if store != "flat"
-                },
-            }
-            grid.append(entry)
-            if (count, metrics) == STORE_HEADLINE:
-                headline = {
-                    "num_vectors": count,
-                    "num_metrics": metrics,
-                    "frontier_size": len(reference),
-                    "speedup_sorted_vs_flat": seconds["flat"] / seconds["sorted"],
-                    "target_speedup": STORE_TARGET_SPEEDUP,
-                }
-    report: Dict[str, object] = {
-        "workload": (
-            f"anti-correlated tradeoff curve, noise={STORE_NOISE}, seed={SEED}"
-        ),
-        "stores": list(STORE_NAMES),
-        "grid": grid,
-        "headline": headline,
-    }
-    if write_json:
-        with open(FRONTIER_RESULT_PATH, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
-
-
-def _format_store_report(report: Dict[str, object]) -> str:
-    lines = [f"Frontier-store micro-benchmark ({report['workload']}):"]
-    for entry in report["grid"]:
-        seconds = entry["seconds"]
-        speedups = entry["speedup_vs_flat"]
-        lines.append(
-            f"  {entry['num_vectors']:>7} vectors x {entry['num_metrics']} metrics "
-            f"(frontier {entry['frontier_size']:>6}): "
-            f"flat {seconds['flat'] * 1e3:9.1f} ms | "
-            + " | ".join(
-                f"{store} {seconds[store] * 1e3:9.1f} ms ({speedups[store]:.2f}x)"
-                for store in ("sorted", "ndtree", "auto")
-            )
-        )
-    headline = report["headline"]
-    if headline:
-        lines.append(
-            f"  headline: sorted is {headline['speedup_sorted_vs_flat']:.2f}x flat "
-            f"at {headline['num_vectors']} vectors / {headline['num_metrics']} "
-            f"metrics (target {headline['target_speedup']:.0f}x)"
-        )
-    return "\n".join(lines)
-
-
-def test_store_insert_speedup():
-    """Indexed stores must clearly beat the flat store on large frontiers.
-
-    The headline number (≥ 5× at 10⁵ vectors / 3 metrics on this machine
-    class) is recorded in ``BENCH_frontier.json``; the assertion uses a
-    lower bar so the check stays robust on loaded CI runners.  Frontier
-    contents are asserted bit-identical across stores inside the benchmark.
-    """
-    report = run_store_benchmark()
-    print()
-    print(_format_store_report(report))
-    headline = report["headline"]
-    assert headline, "headline configuration missing from the store grid"
-    assert headline["speedup_sorted_vs_flat"] > 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +524,6 @@ def main() -> int:
     report = run_benchmark()
     print(_format_report(report))
     print(f"[results written to {RESULT_PATH}]")
-    store_report = run_store_benchmark()
-    print(_format_store_report(store_report))
-    print(f"[results written to {FRONTIER_RESULT_PATH}]")
     runner_report = run_runner_benchmark()
     print(_format_runner_report(runner_report))
     print(f"[results written to {RUNNER_RESULT_PATH}]")

@@ -8,30 +8,26 @@ short bursts, after each burst re-rendering the current two-metric Pareto
 frontier as an ASCII scatter plot, illustrating the anytime refinement that
 the α schedule produces.
 
-It also demonstrates **frontier-store selection**: the frontier snapshot of
-every burst is offered to an archive —
-a :class:`repro.pareto.ParetoFrontier` backed by a chosen store (``"auto"``,
-``"flat"``, ``"sorted"`` or ``"ndtree"`` — see ``docs/API.md``) — which
-keeps the non-dominated union of all snapshots.  (Early tradeoffs later
-bursts improve on are evicted; vectors reappearing in several snapshots are
-offered, and counted, once per burst.)  The archive's contents are
-identical for every store; only query time differs.
+It also keeps an **archive**: the frontier snapshot of every burst is
+offered to a :class:`repro.pareto.ParetoFrontier`, which keeps the
+non-dominated union of all snapshots.  (Early tradeoffs later bursts
+improve on are evicted; vectors reappearing in several snapshots are
+offered, and counted, once per burst.)
 
 Run with::
 
-    python examples/interactive_frontier.py [store]
+    python examples/interactive_frontier.py
 
 Expected output (checked by ``tests/test_examples.py``): four bursts, each
 printing an ``After N iterations ... tradeoffs available:`` header above the
 scatter plot, followed by a closing summary line such as::
 
-    candidate archive: 12 non-dominated of 45 offered (store: sorted, policy: sorted)
+    candidate archive: 12 non-dominated of 45 offered
 """
 
 from __future__ import annotations
 
 import random
-import sys
 
 from repro import GraphShape, MultiObjectiveCostModel, QueryGenerator, RMQOptimizer
 from repro.core.frontier import AlphaSchedule
@@ -62,16 +58,13 @@ def render_frontier(costs, width: int = 60, height: int = 16) -> str:
     return "\n".join(lines)
 
 
-def main(seed: int = 17, store: str = "auto") -> None:
+def main(seed: int = 17) -> None:
     rng = random.Random(seed)
     query = QueryGenerator(rng=rng).generate(15, GraphShape.CHAIN)
     cost_model = MultiObjectiveCostModel(query, metrics=("time", "buffer"))
     optimizer = RMQOptimizer(cost_model, rng=rng, schedule=AlphaSchedule.compressed())
-    # Non-dominated union of all burst snapshots, kept by the selected
-    # frontier store.  Contents are identical for every store; "auto"
-    # upgrades from the flat scan to an index only if the archive grows
-    # large.
-    archive: ParetoFrontier = ParetoFrontier(store=store)
+    # Non-dominated union of all burst snapshots.
+    archive: ParetoFrontier = ParetoFrontier()
     offered = 0
 
     print(f"Interactive optimization of a {query.num_tables}-table chain query.")
@@ -85,11 +78,10 @@ def main(seed: int = 17, store: str = "auto") -> None:
               f"(approximation factor α ≈ {optimizer.current_alpha:.2f}), "
               f"{len(frontier)} tradeoffs available:")
         print(render_frontier(costs))
-    print(f"\ncandidate archive: {len(archive)} non-dominated of {offered} offered "
-          f"(store: {archive.store_name}, policy: {store})")
+    print(f"\ncandidate archive: {len(archive)} non-dominated of {offered} offered")
     print("In an interactive deployment the user would now pick a point; "
           "optimization stops as soon as a plan is selected.")
 
 
 if __name__ == "__main__":
-    main(store=sys.argv[1] if len(sys.argv) > 1 else "auto")
+    main()

@@ -8,13 +8,7 @@ runs RMQ on progressively larger star queries under a fixed per-query time
 budget and reports the frontier size, the number of iterations completed and
 the median hill-climbing path length (the statistic of Figure 3).
 
-It then demonstrates **frontier-store selection** at scale: the cost vectors
-of many random plans for the largest query are Pareto-filtered once per
-store (``flat``, ``sorted``, ``ndtree``, ``auto`` — see ``docs/API.md``).
-All stores keep exactly the same frontier; the indexed tiers only answer
-the dominance queries faster once frontiers get large.
-
-Finally it runs the **vectorized DP reference** (``ArenaDPOptimizer``, see
+It then runs the **vectorized DP reference** (``ArenaDPOptimizer``, see
 ``docs/ARCHITECTURE.md``) to completion at table counts where a DP over
 ``Plan`` objects was effectively unreachable: the arena engine pushes
 millions of candidate plans through per-subset batch kernels, so coarse
@@ -26,12 +20,8 @@ Run with::
     python examples/large_query_scaling.py [seconds_per_query]
 
 Expected output (checked by ``tests/test_examples.py``): one scaling-table
-row per query size, then a ``Frontier-store comparison`` section with one
-row per store ending in a confirmation line::
-
-    all stores kept identical frontiers (N plans)
-
-then a ``DP reference scaling`` section with one row per DP table count.
+row per query size, then a ``DP reference scaling`` section with one row
+per DP table count.
 """
 
 from __future__ import annotations
@@ -42,51 +32,7 @@ import time
 
 from repro import GraphShape, MultiObjectiveCostModel, QueryGenerator, RMQOptimizer
 from repro.core.frontier import AlphaSchedule
-from repro.core.random_plans import ArenaRandomPlanGenerator
-from repro.cost.batch import BatchCostModel
-from repro.pareto import pareto_filter
 from repro.utils.rng import derive_rng
-
-
-def compare_frontier_stores(
-    cost_model: MultiObjectiveCostModel, seed: int, num_plans: int = 2000
-) -> None:
-    """Pareto-filter many random-plan cost vectors once per frontier store."""
-    batch_model = BatchCostModel(cost_model)
-    generator = ArenaRandomPlanGenerator(batch_model, derive_rng(seed, "store-demo"))
-    costs = []
-    skipped = 0
-    for _ in range(num_plans):
-        try:
-            costs.append(batch_model.arena.cost(generator.random_bushy_plan()))
-        except OverflowError:
-            # A purely random bushy plan over ~100 tables can push an
-            # intermediate cardinality past float range; the optimizer never
-            # keeps such plans, so the demo just skips them.
-            skipped += 1
-    if skipped:
-        print(f"  (skipped {skipped} random plans whose cost overflowed)")
-    if not costs:
-        print("  (every random plan overflowed the cost model; nothing to filter)")
-        return
-    print(f"\nFrontier-store comparison: Pareto-filtering {len(costs)} random "
-          f"{cost_model.query.num_tables}-table plans "
-          f"({len(costs[0])} metrics):")
-    frontiers = {}
-    for store in ("flat", "sorted", "ndtree", "auto"):
-        started = time.perf_counter()
-        frontiers[store] = pareto_filter(costs, store=store)
-        elapsed = time.perf_counter() - started
-        print(f"  {store:>6}: {elapsed * 1e3:8.1f} ms "
-              f"-> frontier of {len(frontiers[store])}")
-    reference = frontiers["flat"]
-    assert all(kept == reference for kept in frontiers.values()), (
-        "frontier stores diverged"
-    )
-    print(f"  all stores kept identical frontiers ({len(reference)} plans)")
-    print("  (random plan costs collapse onto a small frontier, so 'auto' stays "
-          "on the flat fast path here; benchmarks/bench_micro_pareto.py shows "
-          "the large-frontier regime where the indexed tiers win)")
 
 
 def dp_reference_scaling(seed: int, dp_tables, dp_alpha: float) -> None:
@@ -125,14 +71,12 @@ def dp_reference_scaling(seed: int, dp_tables, dp_alpha: float) -> None:
 def main(
     budget: float = 2.0,
     seed: int = 5,
-    store_demo_plans: int = 2000,
     dp_tables=(8, 10),
     dp_alpha: float = float("inf"),
 ) -> None:
     print(f"RMQ on star queries, {budget:g}s per query, metrics = time/buffer/disk\n")
     print(f"{'tables':>8} {'iterations':>12} {'frontier':>10} "
           f"{'median path':>12} {'cache plans':>12} {'seconds':>9}")
-    cost_model = None
     for num_tables in (10, 25, 50, 75, 100):
         query = QueryGenerator(rng=derive_rng(seed, "query", num_tables)).generate(
             num_tables, GraphShape.STAR
@@ -155,9 +99,6 @@ def main(
 
     print("\nEvery row produced at least one complete plan: RMQ degrades gracefully "
           "with query size instead of failing like exhaustive approaches.")
-
-    if cost_model is not None and store_demo_plans > 0:
-        compare_frontier_stores(cost_model, seed, num_plans=store_demo_plans)
 
     if dp_tables:
         dp_reference_scaling(seed, tuple(dp_tables), dp_alpha)

@@ -26,29 +26,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.interface import AnytimeOptimizer
 from repro.cost.batch import BatchCostModel
 from repro.cost.model import MultiObjectiveCostModel
-from repro.pareto.dominance import strictly_dominates
 from repro.pareto.engine import strictly_dominates_matrix
 from repro.pareto.frontier import ParetoFrontier
 from repro.plans.plan import Plan
 
 Genome = Tuple[int, ...]
-
-#: Population size from which the non-dominated sort switches to the
-#: sorted-order (ENS-style) algorithm.  The all-pairs dominance matrix is a
-#: single fast kernel call but materializes O(n²) boolean temporaries, which
-#: is the memory and time bottleneck for very large populations; the indexed
-#: sort processes individuals in lexicographic order and only compares
-#: against already-placed front members.  Results are bit-identical
-#: (``tests/test_store.py`` pins fronts, ranks, and within-front order).
-INDEXED_SORT_MIN_POPULATION = 1024
-
 
 @dataclass
 class ArenaIndividual:
@@ -290,9 +279,9 @@ class NSGA2Optimizer(AnytimeOptimizer):
         Python loop; fronts are then peeled by subtracting the dominator
         counts of each front from the remainder.  Front membership, ranks,
         and — critically for downstream tie-breaking — the order of
-        individuals *within* each front are identical to
-        :meth:`_fast_non_dominated_sort_scalar`, the pure-Python
-        specification this is property-tested against: the scalar algorithm
+        individuals *within* each front are identical to the pure-Python
+        specification this is property-tested against (Deb et al.'s fast
+        non-dominated sort, in ``tests/oracle``): the scalar algorithm
         appends an individual to the next front the moment its last
         remaining dominator is processed, so the vectorized peel orders each
         front by (position of the last dominator in the previous front,
@@ -300,8 +289,6 @@ class NSGA2Optimizer(AnytimeOptimizer):
         """
         if not population:
             return []
-        if len(population) >= INDEXED_SORT_MIN_POPULATION:
-            return NSGA2Optimizer._fast_non_dominated_sort_indexed(population)
         costs = np.asarray([ind.cost for ind in population], dtype=np.float64)
         dominates = strictly_dominates_matrix(costs, costs)  # [i, j] = i ≺ j
         remaining = dominates.sum(axis=0).astype(np.int64)  # dominators of j
@@ -328,127 +315,16 @@ class NSGA2Optimizer(AnytimeOptimizer):
         return fronts
 
     @staticmethod
-    def _fast_non_dominated_sort_indexed(
-        population: List[ArenaIndividual],
-    ) -> List[List[ArenaIndividual]]:
-        """Sorted-order non-dominated sort for very large populations.
-
-        An ENS-style sweep in the spirit of the sorted frontier store:
-        individuals are processed in lexicographic cost order (dominators
-        always precede what they dominate), and each one is placed into the
-        first existing front containing no dominator — which is exactly its
-        non-domination rank.  This avoids the O(n²) all-pairs dominance
-        matrix; only (candidate, placed-front-member) pairs are compared.
-
-        Front membership and ranks equal the matrix-peel algorithm's by
-        construction.  The within-front *order* — which downstream stable
-        sorts tie-break on — is then reconstructed to match the scalar
-        specification: front 0 ascends by population index, and front ``k``
-        orders by (position in front ``k-1`` of the member's last dominator
-        there, population index), the order in which the scalar peel appends.
-        """
-        size = len(population)
-        costs = np.asarray([ind.cost for ind in population], dtype=np.float64)
-        num_metrics = costs.shape[1]
-        order = np.lexsort(
-            tuple(costs[:, metric] for metric in reversed(range(num_metrics)))
-        ) if num_metrics else np.arange(size)
-        front_members: List[List[int]] = []
-        front_costs: List[np.ndarray] = []
-        front_counts: List[int] = []
-        for index in order.tolist():
-            cost = costs[index]
-            placed = False
-            for front in range(len(front_members)):
-                rows = front_costs[front][: front_counts[front]]
-                dominated = bool(
-                    (
-                        np.all(rows <= cost, axis=1) & np.any(rows < cost, axis=1)
-                    ).any()
-                )
-                if not dominated:
-                    placed = True
-                    break
-            if not placed:
-                front = len(front_members)
-                front_members.append([])
-                front_costs.append(np.empty((8, num_metrics), dtype=np.float64))
-                front_counts.append(0)
-            members, count = front_members[front], front_counts[front]
-            buffer = front_costs[front]
-            if count == buffer.shape[0]:
-                grown = np.empty((2 * count, num_metrics), dtype=np.float64)
-                grown[:count] = buffer
-                front_costs[front] = buffer = grown
-            buffer[count] = cost
-            front_counts[front] = count + 1
-            members.append(index)
-        # Reconstruct the scalar peel's within-front order front by front.
-        fronts: List[List[ArenaIndividual]] = []
-        previous: np.ndarray | None = None
-        for rank, members in enumerate(front_members):
-            candidates = np.asarray(sorted(members), dtype=np.int64)
-            if previous is None:
-                current = candidates
-            else:
-                dominated_by = strictly_dominates_matrix(
-                    costs[previous], costs[candidates]
-                )
-                last_dominator = (
-                    dominated_by.shape[0]
-                    - 1
-                    - np.argmax(dominated_by[::-1, :], axis=0)
-                )
-                current = candidates[np.lexsort((candidates, last_dominator))]
-            for index in current.tolist():
-                population[index].rank = rank
-            fronts.append([population[index] for index in current.tolist()])
-            previous = current
-        return fronts
-
-    @staticmethod
-    def _fast_non_dominated_sort_scalar(
-        population: List[ArenaIndividual],
-    ) -> List[List[ArenaIndividual]]:
-        """Pure-Python reference (the specification of the vectorized sort)."""
-        dominated_by: Dict[int, List[int]] = {i: [] for i in range(len(population))}
-        domination_count = [0] * len(population)
-        fronts: List[List[int]] = [[]]
-        for i, first in enumerate(population):
-            for j, second in enumerate(population):
-                if i == j:
-                    continue
-                if strictly_dominates(first.cost, second.cost):
-                    dominated_by[i].append(j)
-                elif strictly_dominates(second.cost, first.cost):
-                    domination_count[i] += 1
-            if domination_count[i] == 0:
-                population[i].rank = 0
-                fronts[0].append(i)
-        current = 0
-        while fronts[current]:
-            next_front: List[int] = []
-            for i in fronts[current]:
-                for j in dominated_by[i]:
-                    domination_count[j] -= 1
-                    if domination_count[j] == 0:
-                        population[j].rank = current + 1
-                        next_front.append(j)
-            current += 1
-            fronts.append(next_front)
-        return [[population[i] for i in front] for front in fronts if front]
-
-    @staticmethod
     def _assign_crowding(front: List[ArenaIndividual]) -> None:
         """Crowding distances via stable argsort instead of per-metric list sorts.
 
-        Reproduces :meth:`_assign_crowding_scalar` exactly, including its
-        side effect on the caller's list: the scalar code re-sorts ``front``
-        in place per metric (stable, so ties keep the order left by the
-        previous metric), and environmental selection later relies on that
-        final order for truncation tie-breaking.  The vectorized version
-        chains stable argsorts over the same keys and reorders ``front`` to
-        the order after the last metric.
+        Reproduces the pure-Python specification (in ``tests/oracle``)
+        exactly, including its side effect on the caller's list: the scalar
+        code re-sorts ``front`` in place per metric (stable, so ties keep
+        the order left by the previous metric), and environmental selection
+        later relies on that final order for truncation tie-breaking.  The
+        vectorized version chains stable argsorts over the same keys and
+        reorders ``front`` to the order after the last metric.
         """
         if not front:
             return
@@ -470,22 +346,3 @@ class NSGA2Optimizer(AnytimeOptimizer):
         for index, individual in enumerate(originals):
             individual.crowding = float(crowding[index])
         front[:] = [originals[index] for index in order]
-
-    @staticmethod
-    def _assign_crowding_scalar(front: List[ArenaIndividual]) -> None:
-        """Pure-Python reference (the specification of the vectorized crowding)."""
-        if not front:
-            return
-        for individual in front:
-            individual.crowding = 0.0
-        num_metrics = len(front[0].cost)
-        for metric in range(num_metrics):
-            front.sort(key=lambda ind: ind.cost[metric])
-            front[0].crowding = float("inf")
-            front[-1].crowding = float("inf")
-            span = front[-1].cost[metric] - front[0].cost[metric]
-            if span <= 0:
-                continue
-            for position in range(1, len(front) - 1):
-                gap = front[position + 1].cost[metric] - front[position - 1].cost[metric]
-                front[position].crowding += gap / span

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, List
 
 from repro.pareto.dominance import strictly_dominates
 from repro.pareto.engine import SMALL_SET_SIZE, as_cost_matrix, dominance_fold
-from repro.pareto.store import resolve_store_policy, sorted_dominance_fold
 from repro.plans.transformations import ArenaTransformationRules, TransformationRules
 
 if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
@@ -94,12 +93,6 @@ class ArenaParetoClimber:
         Safety bound on the number of climbing steps (the climb always
         terminates because every move strictly dominates its predecessor,
         but a bound keeps worst cases predictable).
-    store:
-        Frontier store policy (see :mod:`repro.pareto.store`) of the
-        per-format pruning: any indexed policy folds large candidate groups
-        through the first-objective-windowed
-        :func:`~repro.pareto.store.sorted_dominance_fold`, ``"flat"`` pins
-        the plain vectorized fold.  The selected plan is the same either way.
     """
 
     def __init__(
@@ -107,7 +100,6 @@ class ArenaParetoClimber:
         model: "BatchCostModel",
         rules: TransformationRules | None = None,
         max_steps: int = 10_000,
-        store: str | None = None,
     ) -> None:
         if max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {max_steps}")
@@ -115,7 +107,6 @@ class ArenaParetoClimber:
         self._arena = model.arena
         self._rules = ArenaTransformationRules(model, rules)
         self._max_steps = max_steps
-        self._store_policy = resolve_store_policy(store)
         self._plans_built = 0
         # handle -> (winners per format, candidate count of the whole
         # sub-tree), see the class docstring.
@@ -197,11 +188,6 @@ class ArenaParetoClimber:
         """Total number of candidate plans costed by this climber."""
         return self._plans_built
 
-    @property
-    def store_policy(self) -> str:
-        """Frontier-store policy used for large-group pruning."""
-        return self._store_policy
-
     # ------------------------------------------------------------- internals
     def _cost_of(self, ref: "PlanRef"):
         if isinstance(ref, int):
@@ -215,11 +201,11 @@ class ArenaParetoClimber:
         When two candidates of the same format are mutually non-dominated
         the incumbent is kept; Section 4.2 explicitly allows selecting an
         arbitrary non-dominated neighbor instead of branching.  Large groups
-        resolve the sequential fold through a vectorized kernel, which
-        selects the same candidate.  Winners are realized into arena
-        handles; losing candidates never touch the arena.
+        resolve the sequential fold through the vectorized
+        :func:`~repro.pareto.engine.dominance_fold`, which selects the same
+        candidate.  Winners are realized into arena handles; losing
+        candidates never touch the arena.
         """
-        fold = dominance_fold if self._store_policy == "flat" else sorted_dominance_fold
         model = self._model
         arena = self._arena
         op_list = arena.op_code_list
@@ -235,7 +221,7 @@ class ArenaParetoClimber:
         for format_code, group in groups.items():
             if len(group) > SMALL_SET_SIZE:
                 costs = as_cost_matrix([self._cost_of(ref) for ref in group])
-                best[format_code] = model.realize(group[fold(costs)])
+                best[format_code] = model.realize(group[dominance_fold(costs)])
                 continue
             incumbent = group[0]
             incumbent_cost = self._cost_of(incumbent)

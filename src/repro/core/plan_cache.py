@@ -28,9 +28,11 @@ import numpy as np
 
 from repro.obs import global_metrics
 from repro.pareto.engine import (
-    approx_dominates_matrix,
-    batch_insert_masks,
+    FrontierEntry,
     dominates_matrix,
+    entry_append,
+    entry_covered,
+    insert_batch,
 )
 from repro.plans.plan import Plan
 
@@ -38,52 +40,26 @@ if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
     from repro.cost.batch import BatchCostModel, CandidateBatch
 
 
-#: Minimum size of an α = 1 batch that runs the per-tag whole-batch kernel
-#: (:func:`_insert_batch_exact`); smaller batches, and every α > 1 batch, run
-#: the per-accepted-row sweep (:func:`_insert_batch_approx`).  The decisions
-#: are identical either way.
-_PREFILTER_MIN_BATCH = 8
-
-
-class _ArenaEntry:
-    """One intermediate result's frontier: handles, tags, and cost rows."""
-
-    __slots__ = ("handles", "tags", "rows")
-
-    def __init__(self, num_metrics: int) -> None:
-        self.handles: List[int] = []
-        self.tags: List[int] = []
-        self.rows = np.empty((0, num_metrics), dtype=np.float64)
-
-
 class ArenaPlanCache:
     """Cache of non-dominated partial plans per intermediate result.
 
-    Each cached plan is a :class:`~repro.plans.arena.PlanArena` handle.
-    Whole candidate batches (the cross product of two sub-plan frontiers ×
-    join operators) are inserted through one insertion kernel,
-    :func:`_insert_batch` — the same kernel the DP's subset reducer runs
-    through :class:`FrontierSimulator`:
-
-    * with **α = 1** rows of different output formats never interact, so a
-      batch of at least :data:`_PREFILTER_MIN_BATCH` rows decomposes per
-      format tag into independent
-      :func:`~repro.pareto.engine.batch_insert_masks` calls — one kernel
-      pass per tag for the whole batch;
-    * every other batch is α-cover pre-filtered against the *pre-batch*
-      frontier in one fused pass, and the survivors are swept once per
-      *accepted* row (:func:`_insert_batch_approx`).
-
-    Every accept/evict decision, and the resulting frontier order, equals
-    inserting the rows one by one.  Only accepted candidates are realized
-    into arena nodes.
+    Each cached plan is a :class:`~repro.plans.arena.PlanArena` handle,
+    and each table set's frontier a
+    :class:`~repro.pareto.engine.FrontierEntry` whose rows are tagged with
+    the plan's output format.  Whole candidate batches (the cross product
+    of two sub-plan frontiers × join operators) are inserted through
+    :func:`~repro.pareto.engine.insert_batch`, the one insertion kernel —
+    the same kernel the DP's subset reducer runs through
+    :class:`FrontierSimulator`, at every α.  Every accept/evict decision,
+    and the resulting frontier order, equals inserting the rows one by
+    one.  Only accepted candidates are realized into arena nodes.
     """
 
     def __init__(self, model: "BatchCostModel") -> None:
         self._model = model
         self._arena = model.arena
         self._num_metrics = model.num_metrics
-        self._entries: Dict[FrozenSet[int], _ArenaEntry] = {}
+        self._entries: Dict[FrozenSet[int], FrontierEntry] = {}
 
     # ------------------------------------------------------------ accessors
     def handles(self, relations: FrozenSet[int] | Iterable[int]) -> List[int]:
@@ -143,10 +119,10 @@ class ArenaPlanCache:
         return [self._arena.cost(handle) for handle in entry.handles]
 
     # -------------------------------------------------------------- updates
-    def _entry(self, key: FrozenSet[int]) -> _ArenaEntry:
+    def _entry(self, key: FrozenSet[int]) -> FrontierEntry:
         entry = self._entries.get(key)
         if entry is None:
-            entry = _ArenaEntry(self._num_metrics)
+            entry = FrontierEntry(self._num_metrics)
             self._entries[key] = entry
         return entry
 
@@ -159,11 +135,11 @@ class ArenaPlanCache:
         row = np.asarray(self._arena.cost(handle), dtype=np.float64)
         metrics = global_metrics()
         metrics.add("frontier.candidates")
-        if _entry_covered(entry, tag, row, alpha):
+        if entry_covered(entry, tag, row, alpha):
             metrics.add("frontier.rejected")
             return False
         before = len(entry.handles)
-        _entry_append(entry, handle, tag, row)
+        entry_append(entry, handle, tag, row)
         metrics.add("frontier.accepted")
         evicted = before + 1 - len(entry.handles)
         if evicted:
@@ -199,7 +175,7 @@ class ArenaPlanCache:
             return model.realize_candidate(batch, position, outer_handles, inner_handles)
 
         before = len(entry.handles)
-        accepted_count, _ = _insert_batch(entry, batch, alpha, realize)
+        accepted_count, _ = insert_batch(entry, batch.costs, batch.tags, alpha, realize)
         record_insertions(
             batch.size, accepted_count, before + accepted_count - len(entry.handles)
         )
@@ -223,7 +199,7 @@ class ArenaPlanCache:
             tag = self._arena.format_code(handle)
         if row is None:
             row = np.asarray(self._arena.cost(handle), dtype=np.float64)
-        _entry_append(entry, handle, tag, row)
+        entry_append(entry, handle, tag, row)
 
     def replay_accept_batch(
         self,
@@ -255,7 +231,7 @@ class ArenaPlanCache:
         if entry.handles:
             old_tags = np.asarray(entry.tags, dtype=np.int64)
             # evicts_old[i, f]: new row i dominates old entry row f (same
-            # elementwise <= as _entry_append).
+            # elementwise <= as entry_append).
             evicts_old = (tags[:, None] == old_tags[None, :]) & dominates_matrix(
                 rows, entry.rows
             )
@@ -287,14 +263,8 @@ class ArenaPlanCache:
 
 
 # ---------------------------------------------------------------------------
-# Entry-level insertion kernels
+# Decision counters and the DP's off-to-the-side simulator
 # ---------------------------------------------------------------------------
-# The decision logic of ArenaPlanCache, factored over a bare _ArenaEntry so
-# that out-of-cache consumers — the DP's subset reducer simulating a
-# subset's insertions before the optimizer replays them — share the exact
-# accept/evict decisions with the cache.
-
-
 def record_insertions(candidates: int, accepted: int, evicted: int) -> None:
     """Add one batch's decisions to the ``frontier.*`` counters.
 
@@ -315,210 +285,6 @@ def record_insertions(candidates: int, accepted: int, evicted: int) -> None:
         metrics.add("frontier.evicted", evicted)
 
 
-def _entry_covered(
-    entry: _ArenaEntry, tag: int, row: np.ndarray, alpha: float
-) -> bool:
-    """Whether a same-tag entry row α-dominates ``row`` (``SigBetter``)."""
-    if not entry.handles:
-        return False
-    tag_match = np.asarray(entry.tags, dtype=np.int64) == tag
-    covered = tag_match & np.all(entry.rows <= alpha * row, axis=1)
-    return bool(covered.any())
-
-
-def _entry_append(entry: _ArenaEntry, handle: int, tag: int, row: np.ndarray) -> None:
-    """Append an accepted row, evicting same-tag rows it dominates."""
-    if entry.handles:
-        tag_match = np.asarray(entry.tags, dtype=np.int64) == tag
-        evicted = tag_match & np.all(row <= entry.rows, axis=1)
-        if evicted.any():
-            keep = ~evicted
-            entry.rows = entry.rows[keep]
-            kept_positions = np.flatnonzero(keep).tolist()
-            entry.handles = [entry.handles[k] for k in kept_positions]
-            entry.tags = [entry.tags[k] for k in kept_positions]
-    entry.rows = np.concatenate([entry.rows, row[None, :]])
-    entry.handles.append(handle)
-    entry.tags.append(tag)
-
-
-def _insert_batch_exact(
-    entry: _ArenaEntry,
-    batch: "CandidateBatch",
-    realize,
-) -> Tuple[int, List[int]]:
-    """Whole-batch insertion at α = 1, decomposed per format tag.
-
-    Rows only ever reject or evict rows of their own tag, so sequential
-    insertion splits into independent per-tag processes; each runs as
-    one :func:`batch_insert_masks` kernel call.  The final entry order —
-    surviving existing rows first (original order), then kept batch rows
-    (batch order) — matches sequential insertion, which always appends
-    at the end.  ``realize(position)`` is called only for rows still kept
-    at the end of the batch; the returned accepted positions additionally
-    include rows accepted but evicted by a later batch row (sequential
-    replay needs them to reproduce mid-batch decisions).
-    """
-    size = batch.size
-    existing_size = entry.rows.shape[0]
-    existing_tags = np.asarray(entry.tags, dtype=np.int64)
-    surviving = np.ones(existing_size, dtype=bool)
-    kept = np.zeros(size, dtype=bool)
-    accepted = np.zeros(size, dtype=bool)
-    for tag in np.unique(batch.tags).tolist():
-        batch_mask = batch.tags == tag
-        existing_mask = existing_tags == tag
-        accepted_sub, kept_sub, surviving_sub = batch_insert_masks(
-            entry.rows[existing_mask], batch.costs[batch_mask]
-        )
-        batch_positions = np.flatnonzero(batch_mask)
-        accepted[batch_positions[accepted_sub]] = True
-        kept[batch_positions[kept_sub]] = True
-        surviving[np.flatnonzero(existing_mask)[~surviving_sub]] = False
-    kept_positions = np.flatnonzero(kept).tolist()
-    new_handles = [realize(position) for position in kept_positions]
-    surviving_positions = np.flatnonzero(surviving).tolist()
-    entry.handles = [entry.handles[k] for k in surviving_positions] + new_handles
-    entry.tags = [entry.tags[k] for k in surviving_positions] + [
-        int(batch.tags[position]) for position in kept_positions
-    ]
-    entry.rows = np.concatenate([entry.rows[surviving], batch.costs[kept]])
-    accepted_positions = np.flatnonzero(accepted).tolist()
-    return len(accepted_positions), accepted_positions
-
-
-def _insert_batch(
-    entry: _ArenaEntry,
-    batch: "CandidateBatch",
-    alpha: float,
-    realize,
-) -> Tuple[int, List[int]]:
-    """Insert a costed batch into one entry; returns (count, positions).
-
-    The one insertion kernel of the arena engine, behind both
-    :meth:`ArenaPlanCache.insert_candidates` and
-    :meth:`FrontierSimulator.insert_batch`: α = 1 batches of at least
-    :data:`_PREFILTER_MIN_BATCH` rows run the per-tag whole-batch kernel,
-    every other batch the per-accepted-row sweep.  Both are
-    decision-identical to inserting the rows one by one; the accepted
-    positions are in acceptance (= batch) order either way.
-    """
-    if alpha == 1.0 and batch.size >= _PREFILTER_MIN_BATCH:
-        return _insert_batch_exact(entry, batch, realize)
-    return _insert_batch_approx(entry, batch, alpha, realize)
-
-
-def _insert_batch_approx(
-    entry: _ArenaEntry,
-    batch: "CandidateBatch",
-    alpha: float,
-    realize,
-) -> Tuple[int, List[int]]:
-    """Whole-batch insertion, vectorized per *accepted* row.
-
-    Decision-identical to inserting the rows one by one through
-    :func:`_entry_covered` and :func:`_entry_append` (property-tested
-    against that scalar oracle in ``tests/test_shm.py``, α = 1 included):
-    one fused (frontier × batch) α-cover prefilter kills rows the
-    pre-batch frontier covers, then a sweep runs once per **accepted** row
-    — each acceptance vector-rejects every later survivor it α-covers and
-    vector-evicts dominated peers and frontier rows.  Accepted counts are
-    tiny next to batch sizes, so this does O(accepted · batch) work where
-    pairwise matrices would do O(batch²).
-
-    Three facts make the decomposition sound:
-
-    * the α-cover prefilter against the *pre-batch* frontier is exhaustive
-      for frontier rows — mid-batch evictions only remove frontier rows,
-      and any evictor covers (by transitivity of ``<=`` against the same
-      computed ``α·cost`` values) everything its victim covered;
-    * the same transitivity lets acceptance-time rejection stand in for
-      the sequential check against *currently alive* accepted peers: a row
-      covered only by a later-evicted peer is also covered by that peer's
-      evictor;
-    * eviction requires exact dominance, which is order-insensitive.
-    """
-    size = batch.size
-    if entry.handles:
-        frontier_tags = np.asarray(entry.tags, dtype=np.int64)
-        # One fused (frontier x batch) pass: tag equality AND the exact
-        # per-element comparison of _entry_covered.  Masked per-tag slicing
-        # would compute the same booleans with far more interpreter work.
-        covered = (
-            (frontier_tags[:, None] == batch.tags[None, :])
-            & approx_dominates_matrix(entry.rows, batch.costs, alpha)
-        ).any(axis=0)
-        survivors = np.flatnonzero(~covered)
-    else:
-        frontier_tags = np.empty(0, dtype=np.int64)
-        survivors = np.arange(size)
-    if survivors.size == 0:
-        return 0, []
-    if survivors.size == 1:
-        # Lone survivor: always accepted (nothing can peer-cover it), so
-        # the generic matrix path collapses to one reference append.
-        position = int(survivors[0])
-        _entry_append(
-            entry, realize(position), int(batch.tags[position]),
-            batch.costs[position],
-        )
-        return 1, [position]
-    costs = np.ascontiguousarray(batch.costs[survivors], dtype=np.float64)
-    tags = batch.tags[survivors]
-    # alpha * cost_i computed once per survivor: every cover comparison
-    # against row i (from frontier evictors or accepted peers alike) reads
-    # the same float values _entry_covered would compute.
-    alpha_costs = alpha * costs
-    frontier_alive = np.ones(len(entry.handles), dtype=bool)
-    frontier_rows = entry.rows
-    alive = np.ones(survivors.size, dtype=bool)
-    accepted_order: List[int] = []
-    accepted_live: List[int] = []
-    index = 0
-    while index < alive.shape[0]:
-        remaining = alive[index:]
-        step = int(remaining.argmax())
-        if not remaining[step]:
-            break
-        i = index + step
-        index = i + 1
-        tag = tags[i]
-        row = costs[i]
-        tag_match = tags == tag
-        # Reject every survivor this row α-covers (covers[i, j]: same
-        # elementwise float ops as _entry_covered, NaN-safe).  Earlier and
-        # self positions may flip too, but the scan never revisits them.
-        alive &= ~(tag_match & (row <= alpha_costs).all(axis=1))
-        # Evict accepted peers and frontier rows it exactly dominates (as
-        # in _entry_append: cost_i <= cost_j elementwise).
-        if accepted_live:
-            peers = np.asarray(accepted_live, dtype=np.int64)
-            evicted = (tags[peers] == tag) & (row <= costs[peers]).all(axis=1)
-            if evicted.any():
-                accepted_live = [
-                    j for j, gone in zip(accepted_live, evicted.tolist()) if not gone
-                ]
-        if frontier_rows.shape[0]:
-            frontier_alive &= ~(
-                (frontier_tags == tag) & (row <= frontier_rows).all(axis=1)
-            )
-        accepted_live.append(i)
-        accepted_order.append(i)
-    survivor_positions = survivors.tolist()
-    handles = {i: realize(survivor_positions[i]) for i in accepted_order}
-    if entry.handles and not frontier_alive.all():
-        keep = np.flatnonzero(frontier_alive)
-        entry.rows = entry.rows[keep]
-        kept = keep.tolist()
-        entry.handles = [entry.handles[k] for k in kept]
-        entry.tags = [entry.tags[k] for k in kept]
-    entry.rows = np.concatenate([entry.rows, costs[accepted_live]])
-    entry.handles.extend(handles[i] for i in accepted_live)
-    entry.tags.extend(int(tags[i]) for i in accepted_live)
-    positions = [survivor_positions[i] for i in accepted_order]
-    return len(positions), positions
-
-
 class FrontierSimulator:
     """Takes :class:`ArenaPlanCache` insertion decisions off to the side.
 
@@ -527,12 +293,13 @@ class FrontierSimulator:
     accept/evict for that subset on a private scratch entry without
     realizing any arena node.  The accepted batch positions it reports are
     later replayed (in order) into the real cache, reproducing one-by-one
-    insertion bit for bit.  Batches run through :func:`_insert_batch`, the
-    cache's own insertion kernel.
+    insertion bit for bit.  Batches run through
+    :func:`~repro.pareto.engine.insert_batch`, the cache's own insertion
+    kernel.
     """
 
     def __init__(self, num_metrics: int) -> None:
-        self._entry = _ArenaEntry(num_metrics)
+        self._entry = FrontierEntry(num_metrics)
         self._num_metrics = num_metrics
 
     def insert_batch(
@@ -548,7 +315,7 @@ class FrontierSimulator:
         def realize(position: int) -> int:
             return -1 - (base + position)
 
-        _, positions = _insert_batch(self._entry, batch, alpha, realize)
+        _, positions = insert_batch(self._entry, batch.costs, batch.tags, alpha, realize)
         return positions
 
     @property

@@ -59,10 +59,6 @@ class RMQOptimizer(AnytimeOptimizer):
     left_deep_only:
         When True, random plans are drawn from the left-deep space instead of
         the unconstrained bushy space (Section 4.1 notes this variation).
-    store:
-        Frontier store policy (see :mod:`repro.pareto.store`) of the hill
-        climber's per-format pruning; results are identical for every
-        policy, only query acceleration differs.
     """
 
     name = "RMQ"
@@ -76,14 +72,13 @@ class RMQOptimizer(AnytimeOptimizer):
         use_plan_cache: bool = True,
         use_climbing: bool = True,
         left_deep_only: bool = False,
-        store: str | None = None,
     ) -> None:
         super().__init__(cost_model)
         self._rng = rng if rng is not None else random.Random()
         self._rules = rules if rules is not None else TransformationRules()
         self._batch_model = BatchCostModel(cost_model)
         self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
-        self._climber = ArenaParetoClimber(self._batch_model, self._rules, store=store)
+        self._climber = ArenaParetoClimber(self._batch_model, self._rules)
         self._approximator = ArenaFrontierApproximator(self._batch_model, schedule)
         self._cache = ArenaPlanCache(self._batch_model)
         self._iteration = 0

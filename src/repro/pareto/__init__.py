@@ -9,18 +9,16 @@ indicator as an additional quality measure.
 The package is split into a hot numeric kernel and the algorithm-facing
 containers built on top of it:
 
-* :mod:`repro.pareto.engine` — NumPy-backed batched dominance, frontier
-  storage (:class:`~repro.pareto.engine.ParetoSet`), the vectorized ε
-  indicator, and hypervolume sweeps;
-* :mod:`repro.pareto.store` — the tiered frontier stores behind
-  :class:`~repro.pareto.engine.ParetoSet`: flat scan,
-  :class:`~repro.pareto.store.SortedFrontier` (first-objective blocks with
-  binary-search pruning windows) and
-  :class:`~repro.pareto.store.NDTreeFrontier` (bounding-cost ND-tree),
-  selected by an ``auto`` policy on frontier size and metric count;
-* :mod:`repro.pareto.reference` — the original pure-Python implementations,
-  kept as the executable specification the engine is property-tested
-  against.
+* :mod:`repro.pareto.engine` — NumPy-backed batched dominance, the one
+  frontier insertion kernel (:class:`~repro.pareto.engine.FrontierEntry`
+  with its one-row and batch insertion, shared by the plan cache, the DP
+  and every :class:`~repro.pareto.frontier.ParetoFrontier`), the vectorized
+  ε indicator, and hypervolume sweeps;
+* :mod:`repro.pareto.frontier` — :class:`~repro.pareto.frontier.ParetoFrontier`
+  and :func:`~repro.pareto.frontier.pareto_filter` on that kernel.
+
+The pure-Python specifications the kernel is property-tested against live
+with the tests (``tests/oracle``).
 """
 
 from repro.pareto.dominance import (
@@ -28,23 +26,15 @@ from repro.pareto.dominance import (
     dominates,
     strictly_dominates,
 )
-from repro.pareto.engine import ParetoSet, as_cost_matrix
+from repro.pareto.engine import as_cost_matrix
 from repro.pareto.frontier import ParetoFrontier, pareto_filter
-from repro.pareto.store import (
-    FlatFrontier,
-    FrontierStore,
-    NDTreeFrontier,
-    SortedFrontier,
-    make_store,
-    resolve_store_policy,
-)
 from repro.pareto.epsilon import (
     approximation_error,
     approximation_error_of_plans,
     approximation_error_scalar,
     is_alpha_approximation,
 )
-from repro.pareto.hypervolume import hypervolume, hypervolume_scalar
+from repro.pareto.hypervolume import hypervolume
 from repro.pareto.selection import NoFeasiblePlanError, filter_by_bounds, select_plan
 
 __all__ = [
@@ -55,13 +45,6 @@ __all__ = [
     "strictly_dominates",
     "approx_dominates",
     "ParetoFrontier",
-    "ParetoSet",
-    "FrontierStore",
-    "FlatFrontier",
-    "SortedFrontier",
-    "NDTreeFrontier",
-    "make_store",
-    "resolve_store_policy",
     "as_cost_matrix",
     "pareto_filter",
     "approximation_error",
@@ -69,5 +52,4 @@ __all__ = [
     "approximation_error_of_plans",
     "is_alpha_approximation",
     "hypervolume",
-    "hypervolume_scalar",
 ]

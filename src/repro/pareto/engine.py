@@ -15,100 +15,82 @@ Design points:
   ``(num_vectors, num_metrics)``; :func:`as_cost_matrix` builds them from any
   iterable of cost sequences.
 * **Semantics match the scalar reference exactly.**  The pure-Python
-  functions in :mod:`repro.pareto.dominance`, :mod:`repro.pareto.epsilon` and
-  :mod:`repro.pareto.hypervolume` remain the executable specification; the
+  relations in :mod:`repro.pareto.dominance` and the scalar ε indicator in
+  :mod:`repro.pareto.epsilon` remain the executable specification; the
   property tests in ``tests/test_engine.py`` assert agreement on random
   inputs.  All comparisons here use the same IEEE-754 double operations as
   the scalar code (``a <= alpha * b`` and friends), so results are
   bit-identical, not merely close.
-* **Adaptive dispatch.**  :class:`ParetoSet` keeps a plain tuple list next to
-  its array buffer and answers queries with pure-Python loops while the set
-  is tiny (NumPy call overhead dominates below ~16 rows) and with vectorized
-  kernels beyond that.  Batch insertion is always vectorized.
+* **One insertion kernel.**  Every Pareto set of the library — the plan
+  cache's per-table-set frontiers, the DP's subset simulator and every
+  :class:`~repro.pareto.frontier.ParetoFrontier` archive — is a
+  :class:`FrontierEntry` updated by :func:`entry_covered` /
+  :func:`entry_append` (one row) and :func:`insert_batch` (a batch).  They
+  apply Algorithm 3's pruning rule and are the only code that decides
+  accept and evict.
 * **Exact hypervolume.**  :func:`hypervolume_exact` accumulates the sweep in
   rational arithmetic (``fractions.Fraction``), which makes the indicator
   *numerically monotone under union*: the exact value is monotone and the
   final rounding to ``float`` is a monotone map.  :func:`hypervolume_sweep`
   is the fast ``float64`` variant for throughput-sensitive callers.
-* **Tiered frontier stores.**  Dominance queries of :class:`ParetoSet` are
-  answered by a pluggable store (:mod:`repro.pareto.store`): a flat scan, a
-  first-objective-sorted block index, or an ND-tree — selected by an
-  ``auto`` policy on frontier size and metric count.  Contents are
-  bit-identical across stores; only query time differs.
 
 Examples
 --------
-The paper's pruning rule, on the default store (reject if dominated, evict
-what the new row dominates; evicted indices refer to pre-insert positions):
+The paper's pruning rule (reject if a same-tag row α-dominates, evict the
+same-tag rows the new row dominates):
 
->>> from repro.pareto.engine import ParetoSet
->>> frontier = ParetoSet()
->>> frontier.insert((2.0, 1.0))
-(True, [])
->>> frontier.insert((1.0, 2.0))
-(True, [])
->>> frontier.insert((3.0, 3.0))        # dominated by both kept rows
-(False, [])
->>> frontier.insert((1.0, 1.0))        # dominates both kept rows
-(True, [0, 1])
->>> frontier.costs()
-[(1.0, 1.0)]
->>> frontier.store_name                # small frontiers stay on the flat path
-'flat'
+>>> import numpy as np
+>>> from repro.pareto.engine import FrontierEntry, entry_append, entry_covered
+>>> entry = FrontierEntry(num_metrics=2)
+>>> for handle, cost in enumerate([(2.0, 1.0), (1.0, 2.0), (3.0, 3.0), (1.0, 1.0)]):
+...     row = np.asarray(cost)
+...     if not entry_covered(entry, 0, row, 1.0):
+...         entry_append(entry, handle, 0, row)
+>>> entry.handles                      # (3, 3) rejected; (1, 1) evicted both
+[3]
 
-Batch insertion is equivalent to inserting row by row (same acceptance
-count, same kept rows, same order):
+A batch gives the decisions of inserting its rows one by one, in order
+(the accepted positions, and the same kept rows in the same order):
 
->>> frontier = ParetoSet()
->>> accepted, kept, surviving = frontier.insert_batch(
-...     [(2.0, 1.0), (1.0, 2.0), (3.0, 3.0), (1.0, 2.0)])
->>> accepted, kept
+>>> entry = FrontierEntry(num_metrics=2)
+>>> costs = as_cost_matrix([(2.0, 1.0), (1.0, 2.0), (3.0, 3.0), (1.0, 2.0)])
+>>> insert_batch(entry, costs, np.zeros(4, dtype=np.int64), 1.0, lambda position: position)
 (2, [0, 1])
->>> frontier.costs()
-[(2.0, 1.0), (1.0, 2.0)]
+>>> entry.rows.tolist()
+[[2.0, 1.0], [1.0, 2.0]]
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.pareto.store import (
-    AUTO_ENGAGE_SIZE,
-    FrontierStore,
-    make_store,
-    resolve_store_policy,
-)
 
 __all__ = [
     "as_cost_matrix",
     "dominates_matrix",
     "strictly_dominates_matrix",
     "approx_dominates_matrix",
-    "pareto_kept_mask",
-    "batch_insert_masks",
     "dominance_fold",
+    "FrontierEntry",
+    "entry_covered",
+    "entry_append",
+    "insert_batch",
     "approximation_error_matrix",
     "alpha_coverage",
     "hypervolume_exact",
     "hypervolume_sweep",
-    "ParetoSet",
 ]
 
-#: Below this many rows, per-item queries run as pure-Python tuple loops
-#: (NumPy dispatch overhead exceeds the arithmetic for tiny sets; typical
-#: inserts short-circuit on the first covering row, which pushes the
-#: crossover well past the worst-case full-scan break-even of ~16 rows).
+#: Groups of at most this many rows are folded by plain Python loops (the
+#: climber's per-format pruning): NumPy dispatch overhead exceeds the
+#: arithmetic for tiny sets.
 SMALL_SET_SIZE = 32
 
 #: Bound on the number of boolean cells materialized per broadcasting chunk
 #: (~4M cells ≈ 4 MB of temporaries).
 _CHUNK_CELLS = 1 << 22
-
-_INITIAL_CAPACITY = 8
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +119,6 @@ def as_cost_matrix(
     if matrix.ndim == 1:  # list of empty tuples
         matrix = matrix.reshape(len(rows), 0)
     return np.ascontiguousarray(matrix)
-
-
-def _chunk_rows(num_a: int, num_b: int, dim: int) -> int:
-    """Row-chunk size keeping broadcast temporaries under ``_CHUNK_CELLS``."""
-    return max(1, _CHUNK_CELLS // max(1, num_b * max(1, dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,112 +175,6 @@ def approx_dominates_matrix(
     return _all_leq_matrix(a, b)
 
 
-#: Cache of strict upper-triangle boolean masks keyed by matrix size (chunk
-#: sizes repeat, and ``np.triu``/``np.tril`` rebuild a float ``tri`` mask on
-#: every call, which shows up in the batch-insert profile).
-_TRIANGLE_MASKS: dict = {}
-
-
-def _upper_triangle_mask(size: int) -> np.ndarray:
-    mask = _TRIANGLE_MASKS.get(size)
-    if mask is None:
-        mask = np.triu(np.ones((size, size), dtype=bool), 1)
-        # Only chunk-scale masks recur (batch insertion chunks, small
-        # frontiers); caching arbitrary sizes would grow without bound over a
-        # long run, so larger masks stay transient.
-        if size <= 256:
-            _TRIANGLE_MASKS[size] = mask
-    return mask
-
-
-def _any_earlier(matrix: np.ndarray) -> np.ndarray:
-    """Per-column ``j``: does ``matrix[i, j]`` hold for some ``i < j``?"""
-    n = matrix.shape[0]
-    return (matrix & _upper_triangle_mask(n)).any(axis=0)
-
-
-def _any_later(matrix: np.ndarray) -> np.ndarray:
-    """Per-column ``j``: does ``matrix[k, j]`` hold for some ``k > j``?"""
-    n = matrix.shape[0]
-    return (matrix & _upper_triangle_mask(n).T).any(axis=0)
-
-
-def pareto_kept_mask(matrix: np.ndarray) -> np.ndarray:
-    """Mask of rows kept by sequential exact-frontier insertion.
-
-    Equivalent to inserting the rows in order into an exact (α = 1)
-    :class:`~repro.pareto.frontier.ParetoFrontier`: row ``j`` survives iff no
-    earlier row dominates it and no later row strictly dominates it (the
-    first occurrence of duplicated non-dominated values is kept).
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    dom = dominates_matrix(matrix, matrix)
-    strict = dom & ~dom.T
-    return ~_any_earlier(dom) & ~_any_later(strict)
-
-
-def batch_insert_masks(
-    existing: np.ndarray, batch: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decision masks of a sequential exact-frontier batch insertion.
-
-    Given the current mutually non-dominated frontier rows ``existing`` and a
-    ``batch`` of candidate rows, returns ``(accepted, kept_batch,
-    surviving_existing)`` such that inserting the batch rows one by one with
-    α = 1 accepts exactly ``accepted``, ends with batch rows ``kept_batch``
-    kept (accepted and never evicted), and existing rows
-    ``surviving_existing`` still present.  The equivalence relies on
-    transitivity of dominance: a row is rejected iff *any* earlier row (kept
-    or not) dominates it, and evicted iff *any* later batch row strictly
-    dominates it.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    existing = np.asarray(existing, dtype=np.float64)
-    m = batch.shape[0]
-    if m == 0:
-        return (
-            np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=bool),
-            np.ones(existing.shape[0], dtype=bool),
-        )
-    # Rows dominated by the existing frontier are rejected outright, and — by
-    # the same transitive-chain argument — a surviving row can only be
-    # rejected by an earlier *surviving* row or evicted by a later *surviving*
-    # row (any chain of dominators through rejected rows ends at a surviving
-    # one, or at an existing row that would have rejected the target too).
-    # The quadratic intra-batch pass therefore runs on the usually-small
-    # candidate subset only.
-    if existing.shape[0]:
-        dom_eb = dominates_matrix(existing, batch)
-        rejected_by_existing = dom_eb.any(axis=0)
-    else:
-        dom_eb = None
-        rejected_by_existing = np.zeros(m, dtype=bool)
-    candidate_indices = np.flatnonzero(~rejected_by_existing)
-    candidates = batch[candidate_indices]
-    dom_cc = dominates_matrix(candidates, candidates)
-    strict_cc = dom_cc & ~dom_cc.T
-    accepted_candidates = ~_any_earlier(dom_cc)
-    kept_candidates = accepted_candidates & ~_any_later(strict_cc)
-    accepted = np.zeros(m, dtype=bool)
-    accepted[candidate_indices] = accepted_candidates
-    kept_batch = np.zeros(m, dtype=bool)
-    kept_batch[candidate_indices] = kept_candidates
-    if dom_eb is not None:
-        accepted_rows = candidates[accepted_candidates]
-        # batch[j] ≺ existing[i] ⇔ batch[j] ⪯ existing[i] ∧ ¬(existing[i] ⪯ batch[j]);
-        # the second factor reuses the rejection matrix columns.
-        dom_ea = dom_eb[:, candidate_indices[accepted_candidates]]
-        evictors = dominates_matrix(accepted_rows, existing) & ~dom_ea.T
-        surviving_existing = ~evictors.any(axis=0)
-    else:
-        surviving_existing = np.ones(0, dtype=bool)
-    return accepted, kept_batch, surviving_existing
-
-
 def dominance_fold(matrix: np.ndarray) -> int:
     """Index selected by the sequential strict-dominance fold.
 
@@ -328,6 +199,196 @@ def dominance_fold(matrix: np.ndarray) -> int:
         incumbent = position + int(hits[0])
         position = incumbent + 1
     return incumbent
+
+
+# ---------------------------------------------------------------------------
+# Frontier entries: the one insertion kernel
+# ---------------------------------------------------------------------------
+class FrontierEntry:
+    """One Pareto set: handles, integer tags and cost rows, kept aligned.
+
+    The handles are opaque to the kernel: plan-arena handles in the plan
+    cache, placeholders in the DP's subset simulator, the items themselves
+    in a :class:`~repro.pareto.frontier.ParetoFrontier`.  Rows only ever
+    reject or evict rows of their own tag; the plan cache tags each row
+    with its plan's output format, which implements the paper's
+    ``SigBetter``.
+    """
+
+    __slots__ = ("handles", "tags", "rows")
+
+    def __init__(self, num_metrics: int) -> None:
+        self.handles: list = []
+        self.tags: List[int] = []
+        self.rows = np.empty((0, num_metrics), dtype=np.float64)
+
+
+def _leq_columns(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``out[j] = all_k row[k] <= columns[k, j]``, one pass per metric.
+
+    A 2–5 metric row compared column by column is several times faster
+    than ``(row <= matrix).all(axis=1)`` and gives the same booleans.
+    """
+    if columns.shape[0] == 0:
+        return np.ones(columns.shape[1], dtype=bool)
+    out = row[0] <= columns[0]
+    for metric in range(1, columns.shape[0]):
+        out &= row[metric] <= columns[metric]
+    return out
+
+
+def entry_covered(entry: FrontierEntry, tag: int, row: np.ndarray, alpha: float) -> bool:
+    """Whether a same-tag row of ``entry`` α-dominates ``row`` (``SigBetter``)."""
+    if not entry.handles:
+        return False
+    tag_match = np.asarray(entry.tags, dtype=np.int64) == tag
+    covered = tag_match & np.all(entry.rows <= alpha * row, axis=1)
+    return bool(covered.any())
+
+
+def entry_append(entry: FrontierEntry, handle, tag: int, row: np.ndarray) -> None:
+    """Append an accepted row, evicting the same-tag rows it dominates."""
+    if entry.handles:
+        tag_match = np.asarray(entry.tags, dtype=np.int64) == tag
+        evicted = tag_match & np.all(row <= entry.rows, axis=1)
+        if evicted.any():
+            keep = ~evicted
+            entry.rows = entry.rows[keep]
+            kept_positions = np.flatnonzero(keep).tolist()
+            entry.handles = [entry.handles[k] for k in kept_positions]
+            entry.tags = [entry.tags[k] for k in kept_positions]
+    entry.rows = np.concatenate([entry.rows, row[None, :]])
+    entry.handles.append(handle)
+    entry.tags.append(tag)
+
+
+def _covered_by_entry(
+    entry: FrontierEntry, costs: np.ndarray, tags: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Per batch row: does a same-tag entry row α-dominate it?
+
+    One fused (frontier × batch) pass per column chunk — tag equality and
+    the elementwise comparison of :func:`entry_covered` — with the chunk
+    bounded so the boolean temporaries stay under ``_CHUNK_CELLS``.
+    """
+    entry_tags = np.asarray(entry.tags, dtype=np.int64)[:, None]
+    size = costs.shape[0]
+    step = max(1, _CHUNK_CELLS // len(entry.handles))
+    covered = np.empty(size, dtype=bool)
+    for start in range(0, size, step):
+        stop = start + step
+        covered[start:stop] = (
+            (entry_tags == tags[None, start:stop])
+            & approx_dominates_matrix(entry.rows, costs[start:stop], alpha)
+        ).any(axis=0)
+    return covered
+
+
+def insert_batch(
+    entry: FrontierEntry,
+    costs: np.ndarray,
+    tags: np.ndarray,
+    alpha: float,
+    realize: Callable[[int], object],
+) -> Tuple[int, List[int]]:
+    """Insert a batch of rows into ``entry``; returns (count, positions).
+
+    Decision-identical to inserting the rows one by one, in order, through
+    :func:`entry_covered` and :func:`entry_append` (property-tested against
+    that scalar oracle in ``tests/test_shm.py``): the accepted positions
+    come back in batch order, and the entry ends with its surviving rows
+    followed by the kept batch rows in batch order.  ``realize(position)``
+    is called once per accepted row, in order, and its result becomes the
+    row's handle; rows accepted and then evicted by a later batch row are
+    reported too (the DP's replay needs them to reproduce mid-batch
+    decisions).
+
+    This is the sequential block-nested-loop skyline (Börzsönyi, Kossmann
+    and Stocker, "The Skyline Operator", ICDE 2001): one fused
+    (frontier × batch) α-cover pre-filter drops the rows the pre-batch
+    frontier covers, then a sweep runs once per **accepted** row — each
+    acceptance rejects every later survivor it α-covers and evicts the
+    kept batch rows and frontier rows it dominates.  Accepted rows are few
+    next to the batch, so the work grows with batch × accepted rows and the
+    memory with the batch, never with batch².
+
+    Three facts make the decomposition sound:
+
+    * the α-cover pre-filter against the *pre-batch* frontier is exhaustive
+      for frontier rows — mid-batch evictions only remove frontier rows,
+      and any evictor covers (by transitivity of ``<=`` against the same
+      computed ``α·cost`` values) everything its victim covered;
+    * the same transitivity lets acceptance-time rejection stand in for
+      the sequential check against *currently kept* batch rows: a row
+      covered only by a later-evicted row is also covered by its evictor;
+    * eviction requires exact dominance, which is order-insensitive.
+    """
+    if entry.handles:
+        survivors = np.flatnonzero(~_covered_by_entry(entry, costs, tags, alpha))
+    else:
+        survivors = np.arange(costs.shape[0])
+    if survivors.size == 0:
+        return 0, []
+    if survivors.size == 1:
+        # A lone survivor is always accepted (no batch row can cover it).
+        position = int(survivors[0])
+        entry_append(entry, realize(position), int(tags[position]), costs[position])
+        return 1, [position]
+    rows = costs[survivors]
+    tags = tags[survivors]
+    # Metric-major copies, so every comparison below is one contiguous pass
+    # per metric.  alpha * cost is computed once per row: every cover test
+    # against it reads the same float values entry_covered computes, and at
+    # alpha = 1 it is the cost itself (1.0 * x == x for every float).
+    columns = np.ascontiguousarray(rows.T)
+    cover_columns = columns if alpha == 1.0 else alpha * columns
+    frontier_columns = entry.rows.T
+    frontier_tags = np.asarray(entry.tags, dtype=np.int64)
+    frontier_alive = np.ones(len(entry.handles), dtype=bool)
+    alive = np.ones(rows.shape[0], dtype=bool)
+    kept = np.zeros(rows.shape[0], dtype=bool)
+    accepted: List[int] = []
+    index = 0
+    while index < alive.shape[0]:
+        remaining = alive[index:]
+        step = int(remaining.argmax())
+        if not remaining[step]:
+            break
+        i = index + step
+        index = i + 1
+        tag = tags[i]
+        row = rows[i]
+        # Reject every survivor this row α-covers.  Earlier positions and
+        # i itself may flip too, but the scan never revisits them.
+        covers = _leq_columns(row, cover_columns)
+        covers &= tags == tag
+        alive &= ~covers
+        # Evict the kept batch rows it dominates (exact dominance).
+        if alpha == 1.0:
+            dominated = covers
+        else:
+            dominated = _leq_columns(row, columns)
+            dominated &= tags == tag
+        kept &= ~dominated
+        kept[i] = True
+        if frontier_alive.shape[0]:
+            evicted = _leq_columns(row, frontier_columns)
+            evicted &= frontier_tags == tag
+            frontier_alive &= ~evicted
+        accepted.append(i)
+    survivor_positions = survivors.tolist()
+    handles = {i: realize(survivor_positions[i]) for i in accepted}
+    if not frontier_alive.all():
+        keep = np.flatnonzero(frontier_alive)
+        entry.rows = entry.rows[keep]
+        kept_positions = keep.tolist()
+        entry.handles = [entry.handles[k] for k in kept_positions]
+        entry.tags = [entry.tags[k] for k in kept_positions]
+    kept_rows = np.flatnonzero(kept)
+    entry.rows = np.concatenate([entry.rows, rows[kept_rows]])
+    entry.handles.extend(handles[i] for i in kept_rows.tolist())
+    entry.tags.extend(tags[kept_rows].tolist())
+    return len(accepted), [survivor_positions[i] for i in accepted]
 
 
 # ---------------------------------------------------------------------------
@@ -519,477 +580,3 @@ def _sweep_2d(points: np.ndarray, bounds: np.ndarray) -> float:
     widths = np.append(x[1:], bounds[0]) - x
     heights = np.maximum(bounds[1] - y_running_min, 0.0)
     return float(np.dot(widths, heights))
-
-
-# ---------------------------------------------------------------------------
-# ParetoSet: growable frontier buffer with sequential semantics
-# ---------------------------------------------------------------------------
-class ParetoSet:
-    """Mutable set of cost rows kept mutually non-(α-)dominated.
-
-    This is the storage kernel behind :class:`repro.pareto.frontier
-    .ParetoFrontier`: a contiguous ``float64`` buffer grown by doubling,
-    with a parallel tuple list used for the small-set fast path.  Each row
-    can carry an integer ``tag``; insertion only compares rows with equal
-    tags (a plan cache tags rows with the plan's output data format,
-    implementing the paper's ``SigBetter``).  All mutating operations report which rows were evicted
-    so that callers can keep side-car data (items, plans) aligned.
-
-    ``store`` selects the frontier store answering dominance queries (see
-    :mod:`repro.pareto.store`): ``"flat"`` scans the whole buffer,
-    ``"sorted"`` and ``"ndtree"`` maintain an index, and ``"auto"`` (the
-    default, overridable with the ``REPRO_FRONTIER_STORE`` environment
-    variable) stays flat below ``AUTO_ENGAGE_SIZE`` rows and then picks an
-    indexed tier by metric count.  The store is a pure search accelerator:
-    kept rows, their order, and every accept/evict decision are identical
-    across stores (``tests/test_store.py`` pins this bit-for-bit).
-    """
-
-    __slots__ = (
-        "_dim",
-        "_size",
-        "_buffer",
-        "_tags_buffer",
-        "_tuples",
-        "_tags",
-        "_synced",
-        "_policy",
-        "_index",
-        "_ids",
-        "_next_id",
-        "_has_tags",
-    )
-
-    def __init__(self, store: str | None = None) -> None:
-        self._dim: int | None = None
-        self._size = 0
-        self._buffer: np.ndarray | None = None
-        self._tags_buffer: np.ndarray | None = None
-        self._tuples: List[Tuple[float, ...]] = []
-        self._tags: List[int] = []
-        # Number of leading rows of the array buffer that mirror the tuple
-        # list.  Appends leave the buffer stale (small-set inserts are pure
-        # list operations); the vectorized paths re-sync lazily.
-        self._synced = 0
-        # Frontier-store policy and (once engaged) the search index with its
-        # id bookkeeping: stable per-row ids parallel to the tuple list and
-        # the id -> position map used to translate eviction answers.
-        self._policy = resolve_store_policy(store)
-        self._index: FrontierStore | None = None
-        # Stable per-row ids parallel to the tuple list, maintained only
-        # while an index is engaged.  Appends take fresh increasing ids and
-        # compaction preserves order, so the list is always strictly
-        # ascending — the position of an id is a binary search away.
-        self._ids: List[int] = []
-        self._next_id = 0
-        self._has_tags = False
-
-    # ------------------------------------------------------------ accessors
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def dim(self) -> int | None:
-        """Number of metrics per row (``None`` while empty)."""
-        return self._dim if self._size else None
-
-    def costs(self) -> List[Tuple[float, ...]]:
-        """The kept rows as float tuples, in insertion order."""
-        return list(self._tuples)
-
-    def array(self) -> np.ndarray:
-        """Read-only ``(n, d)`` view of the kept rows (do not mutate)."""
-        self._sync()
-        if self._buffer is None:
-            return np.empty((0, self._dim or 0), dtype=np.float64)
-        return self._buffer[: self._size]
-
-    @property
-    def store_name(self) -> str:
-        """Name of the store currently answering queries.
-
-        ``"flat"`` until an indexed store engages; under the ``auto`` policy
-        that happens once the frontier outgrows ``AUTO_ENGAGE_SIZE`` rows.
-        """
-        return self._index.name if self._index is not None else "flat"
-
-    @property
-    def store_policy(self) -> str:
-        """The store policy this set was created with (after env resolution)."""
-        return self._policy
-
-    def clear(self) -> None:
-        """Remove every row (the next insertion may use a new dimension)."""
-        self._size = 0
-        self._dim = None
-        self._buffer = None
-        self._tags_buffer = None
-        self._tuples = []
-        self._tags = []
-        self._synced = 0
-        self._index = None
-        self._ids = []
-        self._next_id = 0
-        self._has_tags = False
-
-    # ------------------------------------------------------------- internal
-    def _prepare(self, cost: Sequence[float]) -> Tuple[float, ...]:
-        row = tuple(float(value) for value in cost)
-        if self._size and len(row) != self._dim:
-            raise ValueError(
-                f"cost vectors have different lengths: {self._dim} vs {len(row)}"
-            )
-        return row
-
-    def _ensure_capacity(self, extra: int) -> None:
-        assert self._dim is not None
-        needed = self._size + extra
-        if self._buffer is None:
-            capacity = max(_INITIAL_CAPACITY, needed)
-            self._buffer = np.empty((capacity, self._dim), dtype=np.float64)
-            self._tags_buffer = np.empty(capacity, dtype=np.int64)
-            self._synced = 0
-        elif needed > self._buffer.shape[0]:
-            capacity = max(self._buffer.shape[0] * 2, needed)
-            buffer = np.empty((capacity, self._dim), dtype=np.float64)
-            buffer[: self._synced] = self._buffer[: self._synced]
-            tags = np.empty(capacity, dtype=np.int64)
-            tags[: self._synced] = self._tags_buffer[: self._synced]
-            self._buffer = buffer
-            self._tags_buffer = tags
-        assert self._tags_buffer is not None
-
-    def _sync(self) -> None:
-        """Bring the array buffer up to date with the tuple list."""
-        if self._synced == self._size:
-            return
-        self._ensure_capacity(0)
-        assert self._buffer is not None and self._tags_buffer is not None
-        stale = slice(self._synced, self._size)
-        self._buffer[stale] = np.asarray(
-            self._tuples[stale], dtype=np.float64
-        ).reshape(self._size - self._synced, self._dim or 0)
-        self._tags_buffer[stale] = self._tags[stale]
-        self._synced = self._size
-
-    def _append(self, row: Tuple[float, ...], tag: int) -> None:
-        if self._size == 0:
-            self._dim = len(row)
-            self._buffer = None
-            self._tags_buffer = None
-            self._synced = 0
-        self._tuples.append(row)
-        self._tags.append(tag)
-        self._size += 1
-
-    def _compact(self, evicted: List[int]) -> None:
-        """Drop the rows at the given (ascending) positions.
-
-        Small evictions delete in place (a C-level ``memmove`` per list);
-        mass evictions rebuild the lists in one pass.  The buffer prefix
-        before the first eviction still mirrors the rows, so only the
-        suffix needs re-syncing.
-        """
-        track_ids = self._index is not None
-        if len(evicted) <= 32:
-            for position in reversed(evicted):
-                del self._tuples[position]
-                del self._tags[position]
-                if track_ids:
-                    del self._ids[position]
-        else:
-            keep = [True] * self._size
-            for position in evicted:
-                keep[position] = False
-            self._tuples = [row for row, kept in zip(self._tuples, keep) if kept]
-            self._tags = [tag for tag, kept in zip(self._tags, keep) if kept]
-            if track_ids:
-                self._ids = [
-                    row_id for row_id, kept in zip(self._ids, keep) if kept
-                ]
-        self._size = len(self._tuples)
-        self._synced = min(self._synced, evicted[0]) if evicted else self._synced
-
-    # ------------------------------------------------------- indexed storage
-    def _wants_index(self) -> bool:
-        """Whether the policy asks for an indexed store at the current size."""
-        if not self._dim:  # zero metrics: nothing for an index to prune on
-            return False
-        if self._policy in ("sorted", "ndtree"):
-            return True
-        return self._policy == "auto" and self._size > AUTO_ENGAGE_SIZE
-
-    def _ensure_index(self, dim_hint: int | None = None) -> None:
-        """Engage the indexed store, bulk-loading the current rows.
-
-        Row ids are assigned equal to the current positions; later appends
-        take fresh ids from ``_next_id``.
-        """
-        if self._index is not None:
-            return
-        dim = self._dim if self._size else dim_hint
-        assert dim is not None
-        self._index = make_store(self._policy, dim)
-        self._ids = list(range(self._size))
-        self._next_id = self._size
-        if self._size:
-            self._index.bulk_load(self._ids, self.array(), self._tags)
-
-    def _insert_indexed(
-        self, row: Tuple[float, ...], alpha: float, tag: int
-    ) -> Tuple[bool, List[int]]:
-        """Insert one prepared row through the engaged store index."""
-        index = self._index
-        assert index is not None
-        row_array = np.asarray(row, dtype=np.float64)
-        # With homogeneous (all-zero) tags the tag filter is a no-op; telling
-        # the store so unlocks its bulk accept/collect corner tests.
-        query_tag: int | None = tag if (self._has_tags or tag) else None
-        if self._size:
-            if index.any_covering(row_array, alpha, query_tag):
-                return False, []
-            evicted_ids = index.dominated_ids(row_array, query_tag)
-        else:
-            evicted_ids = []
-        evicted: List[int] = []
-        if evicted_ids:
-            ids = self._ids
-            evicted = [bisect_left(ids, row_id) for row_id in sorted(evicted_ids)]
-            index.remove_ids(evicted_ids)
-            self._compact(evicted)
-        self._append(row, tag)
-        row_id = self._next_id
-        self._next_id += 1
-        self._ids.append(row_id)
-        index.add(row_id, row_array, tag)
-        return True, evicted
-
-    # -------------------------------------------------------------- updates
-    def insert(
-        self, cost: Sequence[float], alpha: float = 1.0, tag: int = 0
-    ) -> Tuple[bool, List[int]]:
-        """Insert one row under the paper's pruning rule.
-
-        The row is rejected when an existing same-tag row α-dominates it;
-        otherwise it is appended and existing same-tag rows it (exactly)
-        dominates are evicted.  Returns ``(accepted, evicted_indices)`` with
-        the evicted indices referring to pre-insertion positions, so callers
-        can drop the matching side-car entries.
-        """
-        if alpha < 1.0:
-            raise ValueError(f"approximation factor must be at least 1, got {alpha}")
-        row = self._prepare(cost)
-        if tag:
-            self._has_tags = True
-        if self._index is not None:
-            return self._insert_indexed(row, alpha, tag)
-        n = self._size
-        if n == 0:
-            self._append(row, tag)
-            return True, []
-        if self._wants_index():
-            self._ensure_index()
-            return self._insert_indexed(row, alpha, tag)
-        if n <= SMALL_SET_SIZE:
-            tuples, tags = self._tuples, self._tags
-            for index in range(n):
-                if tags[index] == tag and all(
-                    a <= alpha * b for a, b in zip(tuples[index], row)
-                ):
-                    return False, []
-            evicted = [
-                index
-                for index in range(n)
-                if tags[index] == tag
-                and all(a <= b for a, b in zip(row, tuples[index]))
-            ]
-        else:
-            self._sync()
-            assert self._buffer is not None and self._tags_buffer is not None
-            active = self._buffer[:n]
-            tag_match = self._tags_buffer[:n] == tag
-            row_array = np.asarray(row, dtype=np.float64)
-            covered = tag_match & np.all(active <= alpha * row_array, axis=1)
-            if covered.any():
-                return False, []
-            evicted_mask = tag_match & np.all(row_array <= active, axis=1)
-            evicted = np.flatnonzero(evicted_mask).tolist()
-        if evicted:
-            self._compact(evicted)
-        self._append(row, tag)
-        return True, evicted
-
-    def insert_batch(
-        self, costs: Sequence[Sequence[float]], chunk_size: int = 128
-    ) -> Tuple[int, List[int], np.ndarray]:
-        """Vectorized batch insertion with exact sequential semantics (α = 1).
-
-        Equivalent to calling :meth:`insert` for every row in order with
-        ``alpha=1`` and ``tag=0`` (tags are not supported on the batch path).
-        Returns ``(accepted_count, kept_batch_indices,
-        surviving_existing_mask)``: how many rows the sequential insertion
-        would have accepted, which batch rows remain in the final set (in
-        order), and which pre-existing rows survived.
-
-        The batch is processed in chunks of ``chunk_size`` rows against the
-        evolving frontier: each chunk needs one ``frontier × chunk`` and one
-        triangular ``chunk × chunk`` dominance pass, so the total work is
-        ``O(m·n + m·chunk_size)`` instead of the ``O(m²)`` of a single
-        all-pairs pass — on typical workloads (large batches collapsing onto
-        small frontiers) this is what makes the batch path beat sequential
-        insertion by a wide margin.
-        """
-        if any(self._tags):
-            raise ValueError("batch insertion does not support tagged rows")
-        original_size = self._size
-        num_rows = len(costs)
-        if num_rows == 0:
-            return 0, [], np.ones(original_size, dtype=bool)
-        try:
-            batch = np.asarray(costs, dtype=np.float64)
-        except (ValueError, TypeError) as exc:
-            raise ValueError("cost vectors must have the same length") from exc
-        if batch.ndim == 1:  # list of empty tuples
-            batch = batch.reshape(num_rows, 0)
-        if batch.ndim != 2:
-            raise ValueError("cost vectors must have the same length")
-        width = batch.shape[1]
-        if original_size and width != self._dim:
-            raise ValueError(
-                f"cost vectors have different lengths: {self._dim} vs {width}"
-            )
-        if width and (
-            self._index is not None or self._policy in ("sorted", "ndtree")
-        ):
-            # Indexed stores replace the O(m·n)-per-chunk dominance pass with
-            # per-row windowed queries against the index — the batch path is
-            # *defined* as sequential insertion, so this is trivially
-            # equivalent (and what the store tier is for on large frontiers).
-            return self._insert_batch_indexed(batch)
-        if original_size:
-            frontier = self.array().copy()
-        else:
-            frontier = np.empty((0, width), dtype=np.float64)
-        # Row provenance: negative = pre-existing row -(k+1), else batch index.
-        origins: List[int] = [-(k + 1) for k in range(original_size)]
-        accepted_total = 0
-        for start in range(0, batch.shape[0], chunk_size):
-            chunk = batch[start : start + chunk_size]
-            accepted, kept_local, surviving = batch_insert_masks(frontier, chunk)
-            accepted_total += int(accepted.sum())
-            kept_rows = np.flatnonzero(kept_local)
-            frontier = np.concatenate([frontier[surviving], chunk[kept_rows]])
-            origins = [
-                origin for origin, keep in zip(origins, surviving) if keep
-            ] + [start + int(j) for j in kept_rows]
-        surviving_existing = np.zeros(original_size, dtype=bool)
-        kept_indices: List[int] = []
-        for origin in origins:
-            if origin < 0:
-                surviving_existing[-origin - 1] = True
-            else:
-                kept_indices.append(origin)
-        self._tuples = [
-            self._tuples[k] for k in range(original_size) if surviving_existing[k]
-        ] + [tuple(batch[j].tolist()) for j in kept_indices]
-        self._tags = [0] * len(self._tuples)
-        self._size = 0
-        self._dim = width
-        self._buffer = None
-        self._tags_buffer = None
-        self._ensure_capacity(frontier.shape[0])
-        assert self._buffer is not None and self._tags_buffer is not None
-        self._buffer[: frontier.shape[0]] = frontier
-        self._tags_buffer[: frontier.shape[0]] = 0
-        self._size = frontier.shape[0]
-        self._synced = self._size
-        return accepted_total, kept_indices, surviving_existing
-
-    def _insert_batch_indexed(
-        self, batch: np.ndarray
-    ) -> Tuple[int, List[int], np.ndarray]:
-        """Batch insertion through the store index (sequential semantics).
-
-        Each row goes through :meth:`_insert_indexed`; stable row ids track
-        which pre-existing rows survive and which batch rows are kept, so the
-        return value matches the chunked flat kernel exactly.
-        """
-        original_size = self._size
-        self._ensure_index(dim_hint=int(batch.shape[1]))
-        ids_before = list(self._ids)
-        new_id_to_batch: Dict[int, int] = {}
-        accepted_total = 0
-        for position in range(batch.shape[0]):
-            row = tuple(batch[position].tolist())
-            accepted, _ = self.insert(row, alpha=1.0, tag=0)
-            if accepted:
-                accepted_total += 1
-                new_id_to_batch[self._ids[-1]] = position
-        live = set(self._ids)
-        surviving_existing = np.zeros(original_size, dtype=bool)
-        for position, row_id in enumerate(ids_before):
-            if row_id in live:
-                surviving_existing[position] = True
-        kept_indices = [
-            new_id_to_batch[row_id]
-            for row_id in self._ids
-            if row_id in new_id_to_batch
-        ]
-        return accepted_total, kept_indices, surviving_existing
-
-    # ------------------------------------------------------------- queries
-    def covers(
-        self, cost: Sequence[float], alpha: float, tag: int | None = None
-    ) -> bool:
-        """Whether some kept row (with matching tag, if given) α-dominates."""
-        if alpha < 1.0:
-            raise ValueError(f"approximation factor must be at least 1, got {alpha}")
-        if self._size == 0:
-            return False
-        row = self._prepare(cost)
-        n = self._size
-        if self._index is not None:
-            query_tag = tag if (self._has_tags or tag) else None
-            return self._index.any_covering(
-                np.asarray(row, dtype=np.float64), alpha, query_tag
-            )
-        if n <= SMALL_SET_SIZE:
-            return any(
-                (tag is None or self._tags[index] == tag)
-                and all(a <= alpha * b for a, b in zip(self._tuples[index], row))
-                for index in range(n)
-            )
-        self._sync()
-        assert self._buffer is not None and self._tags_buffer is not None
-        mask = np.all(
-            self._buffer[:n] <= alpha * np.asarray(row, dtype=np.float64), axis=1
-        )
-        if tag is not None:
-            mask &= self._tags_buffer[:n] == tag
-        return bool(mask.any())
-
-    def strictly_dominates_any(self, cost: Sequence[float]) -> bool:
-        """Whether some kept row strictly dominates the given cost vector."""
-        if self._size == 0:
-            return False
-        row = self._prepare(cost)
-        n = self._size
-        if self._index is not None:
-            return self._index.any_strictly_dominating(
-                np.asarray(row, dtype=np.float64)
-            )
-        if n <= SMALL_SET_SIZE:
-            return any(
-                all(a <= b for a, b in zip(kept, row))
-                and any(a < b for a, b in zip(kept, row))
-                for kept in self._tuples
-            )
-        self._sync()
-        assert self._buffer is not None
-        active = self._buffer[:n]
-        row_array = np.asarray(row, dtype=np.float64)
-        mask = np.all(active <= row_array, axis=1) & np.any(active < row_array, axis=1)
-        return bool(mask.any())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParetoSet(size={self._size}, dim={self.dim})"

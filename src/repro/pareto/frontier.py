@@ -14,21 +14,27 @@ giving an exact frontier) over arbitrary items carrying a cost vector;
 :func:`pareto_filter` is a convenience for one-shot filtering of cost-vector
 collections.
 
-Storage and comparisons are delegated to the NumPy kernel in
-:mod:`repro.pareto.engine` (a :class:`~repro.pareto.engine.ParetoSet` keeps
-the cost rows contiguous and answers dominance queries in batch); the
-pure-Python implementation this replaces is preserved as
-:class:`repro.pareto.reference.ScalarParetoFrontier` and property-tested to
-agree.  ``insert_all`` with an exact frontier takes a fully vectorized batch
-path whose result — kept items, order, and acceptance count — is identical
-to sequential insertion.
+A frontier is one :class:`~repro.pareto.engine.FrontierEntry` of the
+insertion kernel in :mod:`repro.pareto.engine` — the kernel behind the plan
+cache and the DP — on a single tag, with the items as its handles.
+``insert`` is the kernel's one-row cover check plus append; ``insert_all``
+runs its batch sweep, whose kept items, order and acceptance count equal
+inserting one by one at every α.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generic, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
-from repro.pareto.engine import ParetoSet
+import numpy as np
+
+from repro.pareto.engine import (
+    FrontierEntry,
+    as_cost_matrix,
+    entry_append,
+    entry_covered,
+    insert_batch,
+)
 
 ItemT = TypeVar("ItemT")
 
@@ -50,25 +56,22 @@ class ParetoFrontier(Generic[ItemT]):
         already covered by an existing one.  Existing items are only evicted
         by new items that dominate them exactly (factor one), mirroring
         Algorithm 3's pruning function.
-    store:
-        Frontier store policy (see :mod:`repro.pareto.store`): ``"flat"``,
-        ``"sorted"``, ``"ndtree"``, or ``"auto"`` (the default: flat while
-        small, indexed once the frontier grows).  Kept items and their order
-        are identical whichever store is selected.
+
+    Every cost vector must have the width of the first one kept (a
+    ``ValueError`` otherwise); :meth:`clear` resets the width.
     """
 
     def __init__(
         self,
         cost_of: Callable[[ItemT], Sequence[float]] = _identity,  # type: ignore[assignment]
         alpha: float = 1.0,
-        store: str | None = None,
     ) -> None:
         if alpha < 1.0:
             raise ValueError(f"approximation factor must be at least 1, got {alpha}")
         self._cost_of = cost_of
         self._alpha = alpha
-        self._items: List[ItemT] = []
-        self._set = ParetoSet(store=store)
+        # Created by the first insertion, which fixes the cost-vector width.
+        self._entry: FrontierEntry | None = None
 
     # ------------------------------------------------------------ accessors
     @property
@@ -76,115 +79,82 @@ class ParetoFrontier(Generic[ItemT]):
         """Approximation factor used for insertion."""
         return self._alpha
 
-    @alpha.setter
-    def alpha(self, value: float) -> None:
-        if value < 1.0:
-            raise ValueError(f"approximation factor must be at least 1, got {value}")
-        self._alpha = value
-
-    @property
-    def store_name(self) -> str:
-        """Name of the store currently backing the frontier (diagnostic)."""
-        return self._set.store_name
-
     def items(self) -> List[ItemT]:
         """The currently kept items (copy)."""
-        return list(self._items)
+        return list(self._entry.handles) if self._entry is not None else []
 
     def costs(self) -> List[Tuple[float, ...]]:
         """Cost vectors of the currently kept items."""
-        return [tuple(self._cost_of(item)) for item in self._items]
+        return [tuple(self._cost_of(item)) for item in self.items()]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._entry.handles) if self._entry is not None else 0
 
     def __iter__(self) -> Iterator[ItemT]:
-        return iter(self._items)
+        return iter(self.items())
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return len(self) > 0
 
     # -------------------------------------------------------------- updates
+    def _entry_of_width(self, width: int) -> FrontierEntry:
+        entry = self._entry
+        if entry is None:
+            entry = self._entry = FrontierEntry(width)
+        elif entry.rows.shape[1] != width:
+            raise ValueError(
+                f"cost vectors have different lengths: {entry.rows.shape[1]} vs {width}"
+            )
+        return entry
+
     def insert(self, item: ItemT) -> bool:
         """Insert ``item`` unless an existing item α-dominates it.
 
         When the item is inserted, existing items it (exactly) dominates are
         removed.  Returns True if the item was inserted.
         """
-        accepted, evicted = self._set.insert(self._cost_of(item), alpha=self._alpha)
-        if not accepted:
+        row = np.asarray(self._cost_of(item), dtype=np.float64)
+        entry = self._entry_of_width(row.shape[0])
+        if entry_covered(entry, 0, row, self._alpha):
             return False
-        if evicted:
-            removed = set(evicted)
-            self._items = [
-                existing
-                for index, existing in enumerate(self._items)
-                if index not in removed
-            ]
-        self._items.append(item)
+        entry_append(entry, item, 0, row)
         return True
 
     def insert_all(self, items: Iterable[ItemT]) -> int:
         """Insert several items; returns how many were accepted.
 
-        With an exact frontier (``alpha == 1``) the whole batch is processed
-        by one vectorized kernel call; the kept items, their order, and the
-        returned count are identical to inserting one by one.
+        The kept items, their order, and the returned count are identical
+        to inserting one by one.  The cost vectors are checked as one
+        matrix first, so ragged ones raise ``ValueError`` before any item
+        is kept.
         """
         batch = list(items)
         if not batch:
             return 0
-        if self._alpha == 1.0 and len(batch) > 1:
-            if self._cost_of is _identity:
-                costs: Sequence[Sequence[float]] = batch  # type: ignore[assignment]
-            else:
-                costs = [self._cost_of(item) for item in batch]
-            try:
-                accepted, kept_indices, surviving = self._set.insert_batch(costs)
-            except ValueError:
-                # Ragged or mismatched cost vectors: replay sequentially so
-                # the error surfaces exactly where scalar insertion raises it
-                # (insert_batch does not mutate state before raising).
-                return sum(1 for item in batch if self.insert(item))
-            self._items = [
-                item for item, kept in zip(self._items, surviving) if kept
-            ] + [batch[index] for index in kept_indices]
-            return accepted
-        return sum(1 for item in batch if self.insert(item))
+        costs = as_cost_matrix([self._cost_of(item) for item in batch])
+        entry = self._entry_of_width(costs.shape[1])
+        tags = np.zeros(len(batch), dtype=np.int64)
+        accepted, _ = insert_batch(entry, costs, tags, self._alpha, batch.__getitem__)
+        return accepted
 
     def clear(self) -> None:
-        """Remove all items."""
-        self._items.clear()
-        self._set.clear()
-
-    # ------------------------------------------------------------- queries
-    def covers(self, cost: Sequence[float], alpha: float | None = None) -> bool:
-        """Return whether some kept item α-dominates the given cost vector."""
-        factor = self._alpha if alpha is None else alpha
-        return self._set.covers(cost, factor)
-
-    def dominated_by_any(self, cost: Sequence[float]) -> bool:
-        """Return whether some kept item strictly dominates the cost vector."""
-        return self._set.strictly_dominates_any(cost)
+        """Remove all items (the next insertion may use a new width)."""
+        self._entry = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParetoFrontier(size={len(self._items)}, alpha={self._alpha})"
+        return f"ParetoFrontier(size={len(self)}, alpha={self._alpha})"
 
 
 def pareto_filter(
-    costs: Iterable[Sequence[float]], alpha: float = 1.0, store: str | None = None
+    costs: Iterable[Sequence[float]], alpha: float = 1.0
 ) -> List[Tuple[float, ...]]:
     """Return a (α-approximate) Pareto-optimal subset of the given cost vectors.
 
     With ``alpha = 1`` the result contains one representative for every
-    non-dominated cost value (duplicates are collapsed) and the whole input
-    is filtered in one ``insert_all`` call — a single vectorized batch
-    insertion on the flat store, per-row windowed index queries on the
-    indexed stores (``store`` as in :class:`ParetoFrontier`; the result is
-    identical either way).
+    non-dominated cost value (the first occurrence of duplicates is kept),
+    in input order; the whole input is filtered by one ``insert_all``
+    call.
     """
-    frontier: ParetoFrontier[Tuple[float, ...]] = ParetoFrontier(
-        alpha=alpha, store=store
-    )
+    frontier: ParetoFrontier[Tuple[float, ...]] = ParetoFrontier(alpha=alpha)
     frontier.insert_all([tuple(cost) for cost in costs])
     return frontier.items()

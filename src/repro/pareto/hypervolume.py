@@ -8,14 +8,15 @@ dominated hypervolume).
 
 For minimization problems the hypervolume of a point set is the volume of the
 region dominated by the set and bounded above by a reference point.  The live
-implementation cleans and Pareto-filters the input with the vectorized kernel
-(:mod:`repro.pareto.engine`) and then runs the slicing sweep with *exact*
-rational accumulation, which makes the indicator numerically monotone under
-union: adding a point can never decrease the reported volume (the exact value
-is monotone, and the final rounding to ``float`` is a monotone map).  The
-original floating-point recursion is kept as :func:`hypervolume_scalar`, the
-reference the engine is property-tested against (equal up to floating-point
-accumulation error).
+implementation cleans the input, Pareto-filters it with
+:func:`~repro.pareto.frontier.pareto_filter` (the library's one insertion
+kernel) and then runs the slicing sweep of :mod:`repro.pareto.engine` with
+*exact* rational accumulation, which makes the indicator numerically
+monotone under union: adding a point can never decrease the reported volume
+(the exact value is monotone, and the final rounding to ``float`` is a
+monotone map).  The original floating-point recursion is the test oracle's
+``hypervolume_scalar``, which this is property-tested against (equal up to
+floating-point accumulation error).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.pareto import engine
-from repro.pareto.reference import scalar_pareto_filter
+from repro.pareto.frontier import pareto_filter
 
 
 def hypervolume(
@@ -54,56 +55,5 @@ def hypervolume(
     cleaned = matrix[inside]
     if cleaned.shape[0] == 0:
         return 0.0
-    front = cleaned[engine.pareto_kept_mask(cleaned)]
+    front = pareto_filter(cleaned.tolist())
     return engine.hypervolume_exact(front, reference)
-
-
-def hypervolume_scalar(
-    costs: Iterable[Sequence[float]], reference_point: Sequence[float]
-) -> float:
-    """Pure-Python reference implementation (floating-point accumulation).
-
-    Kept as the executable specification the engine is property-tested
-    against.  Unlike :func:`hypervolume`, this variant is subject to
-    floating-point accumulation error and is *not* exactly monotone under
-    union.
-    """
-    reference = tuple(float(v) for v in reference_point)
-    cleaned: List[Tuple[float, ...]] = []
-    for cost in costs:
-        point = tuple(float(v) for v in cost)
-        if len(point) != len(reference):
-            raise ValueError(
-                f"cost vector of length {len(point)} does not match reference of "
-                f"length {len(reference)}"
-            )
-        if all(value < bound for value, bound in zip(point, reference)):
-            cleaned.append(point)
-    if not cleaned:
-        return 0.0
-    front = scalar_pareto_filter(cleaned)
-    return _hypervolume_recursive(front, reference)
-
-
-def _hypervolume_recursive(
-    points: List[Tuple[float, ...]], reference: Tuple[float, ...]
-) -> float:
-    """Exact hypervolume by slicing along the last dimension."""
-    dimension = len(reference)
-    if dimension == 1:
-        return max(0.0, reference[0] - min(point[0] for point in points))
-    # Sort by the last coordinate and sweep slices from best to worst.
-    ordered = sorted(points, key=lambda point: point[-1])
-    total = 0.0
-    previous_bound = reference[-1]
-    for index in range(len(ordered) - 1, -1, -1):
-        slab_top = previous_bound
-        slab_bottom = ordered[index][-1]
-        height = slab_top - slab_bottom
-        if height > 0:
-            slab_points = [point[:-1] for point in ordered[: index + 1]]
-            slab_front = scalar_pareto_filter(slab_points)
-            area = _hypervolume_recursive(slab_front, reference[:-1])
-            total += area * height
-            previous_bound = slab_bottom
-    return total

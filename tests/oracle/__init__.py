@@ -22,6 +22,9 @@ RNG stream, same work counters.  The modules follow the paper:
 ``local_search``, ``baselines``, ``dp``
     The competitors of Section 6.1: II, SA, 2P, NSGA-II, DP(α), plus the
     WeightedSum and RandomSampling sanity baselines.
+``pareto``
+    The scalar Pareto frontier, Pareto filter and hypervolume the
+    library's NumPy kernel is property-tested against.
 
 pytest collects no test from this package; test modules import it as
 ``oracle`` (pytest puts ``tests/`` on ``sys.path``).

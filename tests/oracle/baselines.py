@@ -2,10 +2,12 @@
 
 Each class is the smallest loop the equivalence suites compare the
 runtime baseline of the same name against: same RNG draws in the same
-order, same frontier, same ``steps`` and ``plans_built`` counters.
-NSGA-II's evolution loop does not depend on the plan representation, so
-its oracle subclasses the runtime class and only decodes genomes into
-``Plan`` trees.
+order, same frontier, same ``steps`` and ``plans_built`` counters.  The
+archives are the scalar reference frontier.  NSGA-II's evolution loop
+does not depend on the plan representation, so its oracle subclasses the
+runtime class and only decodes genomes into ``Plan`` trees; the
+pure-Python non-dominated sort and crowding distance its vectorized
+kernels are tested against live here too.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from oracle.local_search import all_neighbors, random_neighbor
+from oracle.pareto import ScalarParetoFrontier
 from oracle.pareto_climb import ParetoClimber
 from oracle.random_plans import RandomPlanGenerator
 from oracle.transformations import TransformationRules
@@ -23,12 +26,12 @@ from repro.baselines import nsga2
 from repro.core.interface import AnytimeOptimizer
 from repro.cost.model import MultiObjectiveCostModel
 from repro.cost.vector import mean_relative_difference
-from repro.pareto.frontier import ParetoFrontier
+from repro.pareto.dominance import strictly_dominates
 from repro.plans.plan import Plan
 
 
-def _plan_archive() -> ParetoFrontier:
-    return ParetoFrontier(cost_of=lambda plan: plan.cost)
+def _plan_archive() -> ScalarParetoFrontier:
+    return ScalarParetoFrontier(cost_of=lambda plan: plan.cost)
 
 
 class IterativeImprovementOptimizer(AnytimeOptimizer):
@@ -302,3 +305,62 @@ class NSGA2Optimizer(nsga2.NSGA2Optimizer):
         unique = _plan_archive()
         unique.insert_all(ind.plan for ind in self._population if ind.rank == 0)
         return unique.items()
+
+
+def fast_non_dominated_sort_scalar(population: list) -> List[list]:
+    """Deb et al.'s fast non-dominated sort, one pair at a time.
+
+    The specification of ``NSGA2Optimizer._fast_non_dominated_sort``:
+    fronts, ranks (written to each individual) and the order within each
+    front.
+    """
+    dominated_by: Dict[int, List[int]] = {i: [] for i in range(len(population))}
+    domination_count = [0] * len(population)
+    fronts: List[List[int]] = [[]]
+    for i, first in enumerate(population):
+        for j, second in enumerate(population):
+            if i == j:
+                continue
+            if strictly_dominates(first.cost, second.cost):
+                dominated_by[i].append(j)
+            elif strictly_dominates(second.cost, first.cost):
+                domination_count[i] += 1
+        if domination_count[i] == 0:
+            population[i].rank = 0
+            fronts[0].append(i)
+    current = 0
+    while fronts[current]:
+        next_front: List[int] = []
+        for i in fronts[current]:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    population[j].rank = current + 1
+                    next_front.append(j)
+        current += 1
+        fronts.append(next_front)
+    return [[population[i] for i in front] for front in fronts if front]
+
+
+def assign_crowding_scalar(front: list) -> None:
+    """Crowding distances by per-metric list sorts.
+
+    The specification of ``NSGA2Optimizer._assign_crowding``, including
+    its side effect: ``front`` is left in the order of the last metric's
+    stable sort.
+    """
+    if not front:
+        return
+    for individual in front:
+        individual.crowding = 0.0
+    num_metrics = len(front[0].cost)
+    for metric in range(num_metrics):
+        front.sort(key=lambda ind: ind.cost[metric])
+        front[0].crowding = float("inf")
+        front[-1].crowding = float("inf")
+        span = front[-1].cost[metric] - front[0].cost[metric]
+        if span <= 0:
+            continue
+        for position in range(1, len(front) - 1):
+            gap = front[position + 1].cost[metric] - front[position - 1].cost[metric]
+            front[position].crowding += gap / span

@@ -17,32 +17,25 @@ from repro.core.pareto_climb import ClimbResult
 from repro.cost.model import PlanFactory
 from repro.pareto.dominance import strictly_dominates
 from repro.pareto.engine import SMALL_SET_SIZE, as_cost_matrix, dominance_fold
-from repro.pareto.store import resolve_store_policy, sorted_dominance_fold
 from repro.plans.operators import DataFormat
 from repro.plans.plan import JoinPlan, Plan
 from repro.plans.transformations import TransformationRules as RuleFlags
 
 
 class ParetoClimber:
-    """Multi-objective hill climbing over the bushy plan space.
-
-    ``store`` selects the fold that prunes large candidate groups (see
-    :mod:`repro.pareto.store`); the selected plan is the same either way.
-    """
+    """Multi-objective hill climbing over the bushy plan space."""
 
     def __init__(
         self,
         factory: PlanFactory,
         rules: RuleFlags | None = None,
         max_steps: int = 10_000,
-        store: str | None = None,
     ) -> None:
         if max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {max_steps}")
         self._factory = factory
         self._rules = TransformationRules.of(rules)
         self._max_steps = max_steps
-        self._store_policy = resolve_store_policy(store)
         self._plans_built = 0
 
     # ------------------------------------------------------------ ParetoStep
@@ -94,11 +87,6 @@ class ParetoClimber:
         """The transformation rules defining the neighborhood."""
         return self._rules
 
-    @property
-    def store_policy(self) -> str:
-        """Frontier-store policy used for large-group pruning."""
-        return self._store_policy
-
     # ------------------------------------------------------------- internals
     def _rebuild(self, original: JoinPlan, outer: Plan, inner: Plan) -> JoinPlan:
         """Rebuild the original join on top of possibly improved children."""
@@ -112,9 +100,8 @@ class ParetoClimber:
         When two candidates of the same representation are mutually
         non-dominated the incumbent is kept (Section 4.2 allows any
         non-dominated neighbor).  Large groups fold through the vectorized
-        kernel of the store policy, which selects the same plan.
+        kernel, which selects the same plan.
         """
-        fold = dominance_fold if self._store_policy == "flat" else sorted_dominance_fold
         groups: Dict[DataFormat, List[Plan]] = {}
         for candidate in candidates:
             groups.setdefault(candidate.output_format, []).append(candidate)
@@ -122,7 +109,7 @@ class ParetoClimber:
         for output_format, group in groups.items():
             if len(group) > SMALL_SET_SIZE:
                 costs = as_cost_matrix([plan.cost for plan in group])
-                best[output_format] = group[fold(costs)]
+                best[output_format] = group[dominance_fold(costs)]
                 continue
             incumbent = group[0]
             for candidate in group[1:]:

@@ -7,9 +7,8 @@ output data representation α-dominates it (``SigBetter``); otherwise it is
 inserted and every cached plan of that representation it dominates is
 evicted.
 
-Each entry is backed by a :class:`repro.pareto.engine.ParetoSet` whose rows
-are tagged with the plan's output format, so ``store=`` selects the
-frontier store exactly as it does for any other ``ParetoSet``.
+Every decision is taken by :meth:`PlanCache._sig_better`, one cached plan
+at a time — the scalar specification of the library's insertion kernel.
 """
 
 from __future__ import annotations
@@ -18,28 +17,19 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.obs import global_metrics
 from repro.pareto.dominance import approx_dominates, dominates
-from repro.pareto.engine import ParetoSet
 from repro.plans.plan import Plan
 
 
 class PlanCache:
     """Cache of non-dominated partial plans per intermediate result."""
 
-    def __init__(self, store: str | None = None) -> None:
-        self._store = store
-        self._entries: Dict[FrozenSet[int], Tuple[List[Plan], ParetoSet]] = {}
-        # Output formats are compared by identity (``is``), exactly like
-        # ``SigBetter``; each distinct format object gets a small integer
-        # tag used by the kernel.  The reference list pins the keyed objects
-        # so id() values stay unique.
-        self._format_tags: Dict[int, int] = {}
-        self._format_refs: List[object] = []
+    def __init__(self) -> None:
+        self._entries: Dict[FrozenSet[int], List[Plan]] = {}
 
     # ------------------------------------------------------------ accessors
     def plans(self, relations: FrozenSet[int] | Iterable[int]) -> List[Plan]:
         """Cached plans joining exactly the given table set (``P[rel]``)."""
-        entry = self._entries.get(frozenset(relations))
-        return list(entry[0]) if entry is not None else []
+        return list(self._entries.get(frozenset(relations), []))
 
     def table_sets(self) -> List[FrozenSet[int]]:
         """All intermediate results that currently have cached plans."""
@@ -57,12 +47,11 @@ class PlanCache:
     @property
     def total_plans(self) -> int:
         """Total number of cached partial plans over all intermediate results."""
-        return sum(len(plans) for plans, _ in self._entries.values())
+        return sum(len(plans) for plans in self._entries.values())
 
     def size_of(self, relations: FrozenSet[int] | Iterable[int]) -> int:
         """Number of cached plans for one intermediate result."""
-        entry = self._entries.get(frozenset(relations))
-        return len(entry[0]) if entry is not None else 0
+        return len(self._entries.get(frozenset(relations), []))
 
     def frontier_costs(
         self, relations: FrozenSet[int] | Iterable[int]
@@ -78,27 +67,18 @@ class PlanCache:
         """
         if alpha < 1.0:
             raise ValueError(f"approximation factor must be at least 1, got {alpha}")
-        key = plan.rel
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = ([], ParetoSet(store=self._store))
-            self._entries[key] = entry
-        plans, costs = entry
-        accepted, evicted = costs.insert(
-            plan.cost, alpha=alpha, tag=self._format_tag(plan.output_format)
-        )
+        plans = self._entries.setdefault(plan.rel, [])
         metrics = global_metrics()
         metrics.add("frontier.candidates")
-        if not accepted:
+        if any(self._sig_better(cached, plan, alpha) for cached in plans):
             metrics.add("frontier.rejected")
             return False
         metrics.add("frontier.accepted")
-        if evicted:
-            metrics.add("frontier.evicted", len(evicted))
-            removed = set(evicted)
-            plans = [p for index, p in enumerate(plans) if index not in removed]
-            self._entries[key] = (plans, costs)
-        plans.append(plan)
+        survivors = [cached for cached in plans if not self._sig_better(plan, cached, 1.0)]
+        if len(survivors) != len(plans):
+            metrics.add("frontier.evicted", len(plans) - len(survivors))
+        survivors.append(plan)
+        self._entries[plan.rel] = survivors
         return True
 
     def insert_all(self, plans: Iterable[Plan], alpha: float = 1.0) -> int:
@@ -110,20 +90,9 @@ class PlanCache:
         self._entries.clear()
 
     # ------------------------------------------------------------ internals
-    def _format_tag(self, output_format: object) -> int:
-        tag = self._format_tags.get(id(output_format))
-        if tag is None:
-            tag = len(self._format_refs)
-            self._format_tags[id(output_format)] = tag
-            self._format_refs.append(output_format)
-        return tag
-
     @staticmethod
     def _sig_better(first: Plan, second: Plan, alpha: float) -> bool:
-        """``SigBetter`` from Algorithm 3: same output format and α-dominant cost.
-
-        The scalar specification of the tagged kernel comparison.
-        """
+        """``SigBetter`` from Algorithm 3: same output format and α-dominant cost."""
         if first.output_format is not second.output_format:
             return False
         if alpha == 1.0:

@@ -38,14 +38,13 @@ class RMQOptimizer(AnytimeOptimizer):
         use_plan_cache: bool = True,
         use_climbing: bool = True,
         left_deep_only: bool = False,
-        store: str | None = None,
     ) -> None:
         super().__init__(cost_model)
         self._rng = rng if rng is not None else random.Random()
         self._generator = RandomPlanGenerator(cost_model, self._rng)
-        self._climber = ParetoClimber(cost_model, rules, store=store)
+        self._climber = ParetoClimber(cost_model, rules)
         self._approximator = FrontierApproximator(cost_model, schedule)
-        self._cache = PlanCache(store=store)
+        self._cache = PlanCache()
         self._iteration = 0
         self._use_plan_cache = use_plan_cache
         self._use_climbing = use_climbing

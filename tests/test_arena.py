@@ -433,7 +433,6 @@ class TestEngineEquivalence:
             dict(use_plan_cache=False),
             dict(schedule=AlphaSchedule.constant(1.0)),
             dict(schedule=AlphaSchedule.compressed()),
-            dict(store="sorted"),
             dict(rules=TransformationRules(enable_associativity=False)),
             dict(rules=TransformationRules(enable_operator_change=False)),
             dict(rules=TransformationRules(enable_exchange=False)),

@@ -3,13 +3,14 @@
 The engine (:mod:`repro.pareto.engine`) is the live path for frontier
 insertion, the approximation-error indicator, and the hypervolume indicator.
 These tests pin it against the pure-Python reference implementations
-(:mod:`repro.pareto.dominance`, :mod:`repro.pareto.reference`, the scalar
-functions in :mod:`repro.pareto.epsilon` / :mod:`repro.pareto.hypervolume`)
-on random inputs: dominance matrices must match the pairwise scalar
-relations, engine-backed frontiers must evolve identically to the scalar
-container (same kept items, same order, same acceptance counts), the batched
-ε indicator must be bit-identical to the scalar double loop, and the
-hypervolume variants must agree up to floating-point accumulation.
+(:mod:`repro.pareto.dominance`, the scalar functions in
+:mod:`repro.pareto.epsilon`, and the oracle's scalar frontier, Pareto
+filter and hypervolume in ``tests/oracle/pareto.py``) on random inputs:
+dominance matrices must match the pairwise scalar relations, engine-backed
+frontiers must evolve identically to the scalar container (same kept
+items, same order, same acceptance counts), the batched ε indicator must
+be bit-identical to the scalar double loop, and the hypervolume variants
+must agree up to floating-point accumulation.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from repro.pareto.epsilon import (
     is_alpha_approximation_scalar,
 )
 from repro.pareto.frontier import ParetoFrontier, pareto_filter
-from repro.pareto.hypervolume import hypervolume, hypervolume_scalar
-from repro.pareto.reference import ScalarParetoFrontier, scalar_pareto_filter
+from repro.pareto.hypervolume import hypervolume
+from oracle.pareto import ScalarParetoFrontier, hypervolume_scalar, scalar_pareto_filter
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -114,18 +115,8 @@ class TestFrontierAgainstScalarReference:
     def test_pareto_filter_matches_reference(self, costs):
         assert pareto_filter(costs) == scalar_pareto_filter(costs)
 
-    @given(cost_lists3, costs3, alphas)
-    def test_queries_match_reference(self, costs, probe, alpha):
-        vectorized: ParetoFrontier = ParetoFrontier()
-        reference: ScalarParetoFrontier = ScalarParetoFrontier()
-        for cost in costs:
-            vectorized.insert(cost)
-            reference.insert(cost)
-        assert vectorized.covers(probe, alpha) == reference.covers(probe, alpha)
-        assert vectorized.dominated_by_any(probe) == reference.dominated_by_any(probe)
-
     def test_large_frontier_crosses_vectorized_threshold(self, rng):
-        """Inserting past SMALL_SET_SIZE exercises the NumPy path end to end."""
+        """A frontier of hundreds of rows evolves like the reference."""
         vectorized: ParetoFrontier = ParetoFrontier()
         reference: ScalarParetoFrontier = ScalarParetoFrontier()
         for _ in range(400):
@@ -138,41 +129,66 @@ class TestFrontierAgainstScalarReference:
 
 
 # ---------------------------------------------------------------------------
-# ParetoSet specifics (tags, eviction reporting)
+# Insertion-kernel specifics (tags, eviction order, widths)
 # ---------------------------------------------------------------------------
-class TestParetoSet:
-    def test_tags_partition_the_comparisons(self):
-        pareto_set = engine.ParetoSet()
-        assert pareto_set.insert((1.0, 1.0), tag=0)[0]
-        # Same cost, different tag: not compared, so kept.
-        assert pareto_set.insert((1.0, 1.0), tag=1)[0]
-        # Dominated within tag 0: rejected.
-        assert not pareto_set.insert((2.0, 2.0), tag=0)[0]
-        # Dominating within tag 1 evicts only the tag-1 row (index 1).
-        accepted, evicted = pareto_set.insert((0.5, 0.5), tag=1)
-        assert accepted and evicted == [1]
-        assert pareto_set.costs() == [(1.0, 1.0), (0.5, 0.5)]
+def _insert_row(entry, handle, cost, tag=0, alpha=1.0):
+    """One-row insertion through the kernel; returns whether it was kept."""
+    row = np.asarray(cost, dtype=np.float64)
+    if engine.entry_covered(entry, tag, row, alpha):
+        return False
+    engine.entry_append(entry, handle, tag, row)
+    return True
 
-    def test_eviction_indices_refer_to_pre_insert_positions(self):
-        pareto_set = engine.ParetoSet()
-        pareto_set.insert((1.0, 5.0))
-        pareto_set.insert((5.0, 1.0))
-        pareto_set.insert((4.0, 4.0))
-        accepted, evicted = pareto_set.insert((3.0, 3.0))
-        assert accepted and evicted == [2]
-        assert pareto_set.costs() == [(1.0, 5.0), (5.0, 1.0), (3.0, 3.0)]
+
+class TestFrontierKernel:
+    def test_tags_partition_the_comparisons(self):
+        entry = engine.FrontierEntry(2)
+        assert _insert_row(entry, "a", (1.0, 1.0), tag=0)
+        # Same cost, different tag: not compared, so kept.
+        assert _insert_row(entry, "b", (1.0, 1.0), tag=1)
+        # Dominated within tag 0: rejected.
+        assert not _insert_row(entry, "c", (2.0, 2.0), tag=0)
+        # Dominating within tag 1 evicts only the tag-1 row.
+        assert _insert_row(entry, "d", (0.5, 0.5), tag=1)
+        assert entry.handles == ["a", "d"]
+        assert entry.tags == [0, 1]
+        assert entry.rows.tolist() == [[1.0, 1.0], [0.5, 0.5]]
+        # A batch keeps the same partition: (0.9, 0.9) is covered in tag 1
+        # but evicts "a" in tag 0, and (0.4, 0.4) then evicts only "d".
+        batch = engine.as_cost_matrix([(0.9, 0.9), (0.9, 0.9), (0.4, 0.4)])
+        tags = np.asarray([1, 0, 1], dtype=np.int64)
+        assert engine.insert_batch(entry, batch, tags, 1.0, "efg".__getitem__) == (
+            2,
+            [1, 2],
+        )
+        assert entry.handles == ["f", "g"]
+        assert entry.tags == [0, 1]
+
+    def test_eviction_keeps_the_survivors_in_order(self):
+        frontier: ParetoFrontier = ParetoFrontier()
+        for cost in [(1.0, 5.0), (5.0, 1.0), (4.0, 4.0)]:
+            frontier.insert(cost)
+        assert frontier.insert((3.0, 3.0))
+        assert frontier.items() == [(1.0, 5.0), (5.0, 1.0), (3.0, 3.0)]
 
     def test_dimension_mismatch_rejected(self):
-        pareto_set = engine.ParetoSet()
-        pareto_set.insert((1.0, 2.0))
+        frontier: ParetoFrontier = ParetoFrontier()
+        frontier.insert((1.0, 2.0))
         with pytest.raises(ValueError):
-            pareto_set.insert((1.0, 2.0, 3.0))
+            frontier.insert((1.0, 2.0, 3.0))
+        with pytest.raises(ValueError):
+            frontier.insert((0.5,))
+        with pytest.raises(ValueError):
+            frontier.insert_all([(0.5, 0.5, 0.5)])
+        assert frontier.items() == [(1.0, 2.0)]
 
     def test_clear_resets_dimension(self):
-        pareto_set = engine.ParetoSet()
-        pareto_set.insert((1.0, 2.0))
-        pareto_set.clear()
-        assert pareto_set.insert((1.0, 2.0, 3.0))[0]
+        frontier: ParetoFrontier = ParetoFrontier()
+        frontier.insert((1.0, 2.0))
+        frontier.clear()
+        assert not frontier
+        assert frontier.insert((1.0, 2.0, 3.0))
+        assert frontier.items() == [(1.0, 2.0, 3.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +260,7 @@ class TestHypervolumeAgreement:
         cleaned = matrix[inside]
         if cleaned.shape[0] == 0:
             return
-        front = cleaned[engine.pareto_kept_mask(cleaned)]
+        front = engine.as_cost_matrix(pareto_filter(cleaned.tolist()))
         fast = engine.hypervolume_sweep(front, reference)
         exact = engine.hypervolume_exact(front, reference)
         assert fast == pytest.approx(exact, rel=1e-9, abs=1e-6)

@@ -62,15 +62,10 @@ class TestExamplesRun:
         module = load_example("large_query_scaling")
         # Keep the per-query budget tiny; the point is that every size yields plans.
         original_sizes = (10, 25, 50, 75, 100)
-        module.main(budget=0.1, seed=1, store_demo_plans=150, dp_tables=(6,))
+        module.main(budget=0.1, seed=1, dp_tables=(6,))
         output = capsys.readouterr().out
         for size in original_sizes:
             assert str(size) in output
-        # The frontier-store section promised in the module docstring.
-        assert "Frontier-store comparison" in output
-        for store in ("flat", "sorted", "ndtree", "auto"):
-            assert store in output
-        assert "all stores kept identical frontiers" in output
         # The vectorized-DP section promised in the module docstring.
         assert "DP reference scaling" in output
         assert "DP(Infinity)" in output
@@ -78,7 +73,7 @@ class TestExamplesRun:
 
     def test_large_query_scaling_dp_section_optional(self, capsys):
         module = load_example("large_query_scaling")
-        module.main(budget=0.05, seed=1, store_demo_plans=0, dp_tables=())
+        module.main(budget=0.05, seed=1, dp_tables=())
         output = capsys.readouterr().out
         assert "DP reference scaling" not in output
 
@@ -90,13 +85,7 @@ class TestExamplesRun:
         assert "x = time" in output
         # The archive summary promised in the module docstring.
         assert "candidate archive:" in output
-        assert "policy: auto" in output
-
-    def test_interactive_frontier_pinned_store(self, capsys):
-        module = load_example("interactive_frontier")
-        module.main(seed=3, store="sorted")
-        output = capsys.readouterr().out
-        assert "store: sorted, policy: sorted" in output
+        assert "non-dominated of" in output
 
     def test_interactive_frontier_render_helper(self):
         module = load_example("interactive_frontier")

@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from oracle.baselines import Individual
+from oracle.baselines import (
+    Individual,
+    assign_crowding_scalar,
+    fast_non_dominated_sort_scalar,
+)
 from repro.baselines.nsga2 import NSGA2Optimizer
 from repro.pareto.dominance import strictly_dominates
 from repro.plans.validation import validate_plan
@@ -168,7 +172,7 @@ class TestVectorizedEquivalence:
             vectorized = self._population(optimizer, costs)
             scalar = self._population(optimizer, costs)
             fronts_vec = NSGA2Optimizer._fast_non_dominated_sort(vectorized)
-            fronts_ref = NSGA2Optimizer._fast_non_dominated_sort_scalar(scalar)
+            fronts_ref = fast_non_dominated_sort_scalar(scalar)
             positions_vec = [
                 [vectorized.index(ind) for ind in front] for front in fronts_vec
             ]
@@ -186,7 +190,7 @@ class TestVectorizedEquivalence:
             scalar = self._population(optimizer, costs)
             original_vec, original_ref = list(vectorized), list(scalar)
             NSGA2Optimizer._assign_crowding(vectorized)
-            NSGA2Optimizer._assign_crowding_scalar(scalar)
+            assign_crowding_scalar(scalar)
             # Same final list order (the scalar path re-sorts in place)...
             assert [original_vec.index(ind) for ind in vectorized] == [
                 original_ref.index(ind) for ind in scalar
@@ -201,10 +205,8 @@ class TestVectorizedEquivalence:
                 chain_model, rng=random.Random(42), population_size=12
             )
             if use_scalar:
-                optimizer._fast_non_dominated_sort = (
-                    NSGA2Optimizer._fast_non_dominated_sort_scalar
-                )
-                optimizer._assign_crowding = NSGA2Optimizer._assign_crowding_scalar
+                optimizer._fast_non_dominated_sort = fast_non_dominated_sort_scalar
+                optimizer._assign_crowding = assign_crowding_scalar
             for _ in range(5):
                 optimizer.step()
             return [

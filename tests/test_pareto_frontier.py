@@ -75,26 +75,6 @@ class TestParetoFrontierApproximate:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             ParetoFrontier(alpha=0.5)
-        frontier = ParetoFrontier()
-        with pytest.raises(ValueError):
-            frontier.alpha = 0.0
-
-    def test_alpha_setter(self):
-        frontier = ParetoFrontier()
-        frontier.alpha = 3.0
-        assert frontier.alpha == 3.0
-
-    def test_covers_query(self):
-        frontier = ParetoFrontier()
-        frontier.insert((1.0, 1.0))
-        assert frontier.covers((1.5, 1.5), alpha=2.0)
-        assert not frontier.covers((0.5, 0.5), alpha=1.5)
-
-    def test_dominated_by_any(self):
-        frontier = ParetoFrontier()
-        frontier.insert((1.0, 1.0))
-        assert frontier.dominated_by_any((2.0, 2.0))
-        assert not frontier.dominated_by_any((1.0, 1.0))
 
     def test_custom_cost_extractor(self, chain_model):
         frontier = ParetoFrontier(cost_of=lambda plan: plan.cost)

@@ -6,12 +6,14 @@ Three layers, mirroring :mod:`repro.dist.shm`'s contract:
   round-trips float64 values *exactly* — NaN and ±inf included — in memory
   and through the task cache's binary tier, one shared property test for
   both, and the decoder rejects foreign/truncated payloads as cache misses.
-* **Kernel equivalence** — the one insertion kernel (:func:`_insert_batch`
-  and its vectorized sweep :func:`_insert_batch_approx`) and the driver's
-  batched replay (:meth:`ArenaPlanCache.replay_accept_batch`) are
+* **Kernel equivalence** — the one insertion kernel's batch sweep
+  (:func:`repro.pareto.engine.insert_batch`) and the driver's batched
+  replay (:meth:`ArenaPlanCache.replay_accept_batch`) are
   decision-identical to a scalar oracle, one row at a time through
-  :func:`_entry_covered` and :func:`_entry_append`, property-tested over
-  random batches, α values (α = 1 included), and non-finite costs.
+  :func:`~repro.pareto.engine.entry_covered` and
+  :func:`~repro.pareto.engine.entry_append`, property-tested over random
+  batches, α values (α = 1 included), and non-finite costs; a 20,000-row
+  α = 1 batch matches it under a bounded ``tracemalloc`` peak.
 * **Fabric lifecycle** — publish → attach → refresh → unlink: segments
   grow under generation-bumped names, close() is idempotent, runs leak no
   ``/dev/shm`` segments (worker death included), and the thread fallback
@@ -36,19 +38,17 @@ from repro.baselines.dp import (
     accepted_dtype,
     pack_batches,
 )
-from repro.core.plan_cache import (
-    _PREFILTER_MIN_BATCH,
-    ArenaPlanCache,
-    _ArenaEntry,
-    _entry_append,
-    _entry_covered,
-    _insert_batch,
-    _insert_batch_approx,
-)
+from repro.core.plan_cache import ArenaPlanCache
 from repro.cost.batch import BatchCostModel, CandidateBatch
 from repro.cost.model import MultiObjectiveCostModel
 from repro.dist.cache import TaskCache
 from repro.dist.shm import ShmTaskFabric
+from repro.pareto.engine import (
+    FrontierEntry,
+    entry_append,
+    entry_covered,
+    insert_batch,
+)
 from repro.query.generator import QueryGenerator
 from repro.query.join_graph import GraphShape
 
@@ -132,16 +132,16 @@ def _insert_scalar(entry, batch, alpha, realize):
     for position in range(batch.size):
         row = batch.costs[position]
         tag = int(batch.tags[position])
-        if _entry_covered(entry, tag, row, alpha):
+        if entry_covered(entry, tag, row, alpha):
             continue
-        _entry_append(entry, realize(position), tag, row)
+        entry_append(entry, realize(position), tag, row)
         accepted.append(position)
     return len(accepted), accepted
 
 
 def _seeded_entries(num_metrics, seed_batch, alpha):
     """Reference and candidate entries holding the same seeded frontier."""
-    entries = (_ArenaEntry(num_metrics), _ArenaEntry(num_metrics))
+    entries = (FrontierEntry(num_metrics), FrontierEntry(num_metrics))
     for entry in entries:
         _insert_scalar(entry, seed_batch, alpha, lambda position: -100 - position)
     return entries
@@ -163,23 +163,23 @@ class TestInsertBatchApprox:
         expected = _insert_scalar(
             reference, batch, alpha, lambda position: 1000 + position
         )
-        actual = _insert_batch_approx(
-            candidate, batch, alpha, lambda position: 1000 + position
+        actual = insert_batch(
+            candidate, batch.costs, batch.tags, alpha, lambda position: 1000 + position
         )
         assert actual == expected
         assert _entry_state(candidate) == _entry_state(reference)
 
     def test_empty_frontier_all_dominated_batch(self):
         # Lone-survivor and zero-survivor fast paths.
-        entry = _ArenaEntry(2)
+        entry = FrontierEntry(2)
         batch = _batch_from(
             np.asarray([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
             np.zeros(3, dtype=np.int64),
         )
-        count, positions = _insert_batch_approx(
-            entry, batch, 2.0, lambda position: position
+        count, positions = insert_batch(
+            entry, batch.costs, batch.tags, 2.0, lambda position: position
         )
-        reference = _ArenaEntry(2)
+        reference = FrontierEntry(2)
         expected_count, expected_positions = _insert_scalar(
             reference, batch, 2.0, lambda position: position
         )
@@ -188,12 +188,9 @@ class TestInsertBatchApprox:
 
 
 class TestInsertBatchDispatch:
-    """``_insert_batch`` on both sides of the whole-batch threshold."""
+    """``insert_batch`` at small and mid-sized batches, two tags."""
 
-    @pytest.mark.parametrize(
-        "size",
-        [1, _PREFILTER_MIN_BATCH - 1, _PREFILTER_MIN_BATCH, 3 * _PREFILTER_MIN_BATCH],
-    )
+    @pytest.mark.parametrize("size", [1, 7, 8, 24])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_oracle(self, size, data):
@@ -220,11 +217,58 @@ class TestInsertBatchDispatch:
         expected = _insert_scalar(
             reference, batch, alpha, lambda position: 1000 + position
         )
-        actual = _insert_batch(
-            candidate, batch, alpha, lambda position: 1000 + position
+        actual = insert_batch(
+            candidate, batch.costs, batch.tags, alpha, lambda position: 1000 + position
         )
         assert actual == expected
         assert _entry_state(candidate) == _entry_state(reference)
+
+
+class TestLargeExactBatch:
+    """One 20,000-row α = 1 batch: scalar decisions in bounded memory.
+
+    Cross products of two exact (α = 1) frontiers reach tens of thousands
+    of rows in RMQ's converged regime; pairwise (batch × batch) dominance
+    matrices would need hundreds of MiB here, the sweep a few.
+    """
+
+    BATCH_ROWS = 20_000
+    #: Bound on the kernel's traced peak (the batch's own arrays excluded).
+    PEAK_LIMIT = 32 * 1024 * 1024
+
+    def _batch(self):
+        rng = np.random.default_rng(20160626)
+        # Uniform rows on a coarse grid: duplicates and ties, and a frontier
+        # of tens of rows per tag, as RMQ's large batches leave.
+        costs = np.floor(rng.random((self.BATCH_ROWS, 3)) * 1000.0)
+        tags = rng.integers(0, 2, self.BATCH_ROWS).astype(np.int64)
+        return _batch_from(costs, tags)
+
+    @pytest.mark.parametrize("seed_rows", [0, 6])
+    def test_matches_scalar_oracle_under_memory_bound(self, seed_rows):
+        import tracemalloc
+
+        batch = self._batch()
+        seed = _batch_from(
+            np.asarray([[100.0 * k, 500.0 - 100.0 * k, 50.0] for k in range(seed_rows)])
+            .reshape(seed_rows, 3),
+            (np.arange(seed_rows) % 2).astype(np.int64),
+        )
+        reference, candidate = _seeded_entries(3, seed, 1.0)
+        expected = _insert_scalar(
+            reference, batch, 1.0, lambda position: 1000 + position
+        )
+        tracemalloc.start()
+        try:
+            actual = insert_batch(
+                candidate, batch.costs, batch.tags, 1.0, lambda position: 1000 + position
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert actual == expected
+        assert _entry_state(candidate) == _entry_state(reference)
+        assert peak < self.PEAK_LIMIT, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +500,7 @@ class TestEffectsCodecs:
 # ---------------------------------------------------------------------------
 def _scalar_accepts(batches, num_metrics, alpha):
     """Independent scalar reference of pack_batches' accept decisions."""
-    entry = _ArenaEntry(num_metrics)
+    entry = FrontierEntry(num_metrics)
     return [
         _insert_scalar(entry, batch, alpha, lambda position: object())[1]
         for batch in batches
